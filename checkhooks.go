@@ -10,7 +10,7 @@ import (
 // This file is the locks' seam to the deterministic checker
 // (internal/check). In normal operation every helper here degrades to
 // the ordinary primitive at the cost of one atomic nil-check (the same
-// always-compiled pattern as the Tracer hook — a build tag cannot gate
+// always-compiled pattern as the tracer slot — a build tag cannot gate
 // these, because `go test ./internal/check` must explore the untagged
 // build everyone actually runs). Under an installed check scheduler
 // (tests only) the helpers reroute: internal mutexes become

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"scl"
+	"scl/internal/barging"
 	"scl/internal/metrics"
 	"scl/internal/vfs"
 )
@@ -53,7 +54,7 @@ func main() {
 		bullyLock = sclMutex.Register().SetName("bully")
 		victimLock = sclMutex.Register().SetName("victim")
 	case "barging":
-		m := &scl.BargingMutex{}
+		m := &barging.Mutex{}
 		bullyLock, victimLock = m, m
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -lock %q\n", *lockKind)

@@ -340,10 +340,7 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 	m.lockMu()
 	m.draining = nil
 	now = monotime()
-	t := m.loadTracer()
-	if t != nil {
-		t.OnCombine(m.event(trace.KindCombine, now, combiner.id, combiner.name, total))
-	}
+	m.tracer.emit(trace.KindCombine, now, int64(combiner.id), combiner.name, total)
 	m.stats.onCombine(int64(combiner.id), int64(len(batch)))
 	charges := make([]core.Charge, len(batch))
 	for i, r := range batch {
@@ -357,15 +354,11 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 			wait = 0
 		}
 		m.stats.onCombinedOp(int64(id), name, r.start, r.end, wait)
-		if t != nil {
-			t.OnAcquire(m.event(trace.KindAcquire, r.start, id, name, wait))
-			t.OnRelease(m.event(trace.KindRelease, r.end, id, name, r.end-r.start))
-		}
+		m.tracer.emit(trace.KindAcquire, r.start, int64(id), name, wait)
+		m.tracer.emit(trace.KindRelease, r.end, int64(id), name, r.end-r.start)
 		if pens[i] > 0 {
 			m.stats.onBan(int64(id), pens[i])
-			if t != nil {
-				t.OnBan(m.event(trace.KindBan, r.end, id, name, pens[i]))
-			}
+			m.tracer.emit(trace.KindBan, r.end, int64(id), name, pens[i])
 		}
 	}
 	// Release the publishers only after their charges are booked, so a

@@ -4,23 +4,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scl/internal/barging"
 )
 
-// Tests covering the less-travelled paths: panic branches of the baseline
-// locks, contended waiter paths, and the remaining stats helpers.
-
-func TestSpinLockUnlockUnlockedPanics(t *testing.T) {
-	var l SpinLock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	l.Unlock()
-}
+// Tests covering the less-travelled paths: panic branches of the barging
+// baseline the experiments compare against, contended waiter paths, and
+// the remaining stats helpers.
 
 func TestBargingMutexUnlockUnlockedPanics(t *testing.T) {
-	var l BargingMutex
+	var l barging.Mutex
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -32,7 +25,7 @@ func TestBargingMutexUnlockUnlockedPanics(t *testing.T) {
 func TestBargingMutexContendedSleepPath(t *testing.T) {
 	// Force the slow path: hold the lock long enough that a second locker
 	// exhausts its spin budget and parks, then gets woken.
-	var l BargingMutex
+	var l barging.Mutex
 	l.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -65,11 +58,13 @@ func TestStatsJainLOT(t *testing.T) {
 	m := NewMutex(Options{})
 	a := m.Register()
 	b := m.Register()
+	// Spin rather than sleep: a 2ms sleep can overshoot to several ms on
+	// a loaded host, which makes the two holds genuinely unequal.
 	a.Lock()
-	time.Sleep(2 * time.Millisecond)
+	spinFor(2 * time.Millisecond)
 	a.Unlock()
 	b.Lock()
-	time.Sleep(2 * time.Millisecond)
+	spinFor(2 * time.Millisecond)
 	b.Unlock()
 	s := m.Stats()
 	if j := s.JainLOT(a.ID(), b.ID()); j < 0.9 {
@@ -102,36 +97,5 @@ func TestRWLockWriterQueuedBehindWriter(t *testing.T) {
 	wg.Wait()
 	if len(order) != 2 {
 		t.Fatalf("writers completed: %v", order)
-	}
-}
-
-func TestTicketLockOrder(t *testing.T) {
-	// Tickets are served in FIFO order: a holder plus two queued lockers
-	// finish in the order they took tickets.
-	var l TicketLock
-	l.Lock()
-	var order []int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 1; i <= 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i == 2 {
-				time.Sleep(5 * time.Millisecond) // take the later ticket
-			}
-			l.Lock()
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			l.Unlock()
-		}()
-	}
-	time.Sleep(20 * time.Millisecond)
-	l.Unlock()
-	wg.Wait()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("ticket order %v, want [1 2]", order)
 	}
 }

@@ -15,8 +15,10 @@
 //   - RWLock is an RW-SCL: a reader-writer lock whose read and write
 //     slices alternate with lengths proportional to configured class
 //     weights, so neither readers nor writers can starve the other side.
-//   - TicketLock, SpinLock and BargingMutex are the traditional baselines
-//     the paper compares against.
+//
+// The traditional locks the paper compares against (spin, ticket and
+// barging locks) are modelled in the simulator (package scl/sim); the
+// real-time experiments use an internal barging mutex.
 //
 // Entities are explicit: each goroutine (or connection, tenant, work
 // class — any schedulable entity) calls Register on a Mutex to obtain a
@@ -35,12 +37,13 @@
 //     time, lock opportunity time, bans, ban time, handoffs, and hold/wait
 //     distributions, plus lock-level idle time, Jain fairness indices,
 //     the registered-entity count and inactive-entity reap counters.
-//   - The Tracer interface (Options.Tracer, Mutex.SetTracer,
-//     RWLock.SetTracer) receives a structured trace.Event for every
-//     acquisition, release, slice end, ban, handoff, abandonment and
-//     inactive-entity reap. Package scl/trace provides a lock-free bounded
-//     ring buffer that satisfies Tracer, plus JSONL serialization and
-//     offline aggregation.
+//   - A Tracer (Options.Tracer, Mutex.SetTracer, RWLock.SetTracer) has
+//     one method, Record, which receives a structured trace.Event for
+//     every acquisition, release, slice end, ban, handoff, abandonment,
+//     inactive-entity reap and combined batch; the event's trace.Kind
+//     says which. Package scl/trace provides a lock-free bounded ring
+//     buffer that satisfies Tracer, plus JSONL serialization and offline
+//     aggregation.
 //   - Package scl/export turns any set of locks and rings into continuous
 //     metrics: a Prometheus text-exposition endpoint, expvar publication,
 //     and the JSON snapshot that cmd/scltop renders live.
@@ -191,7 +194,7 @@
 //     exactly like a latecomer, so expiry cannot be farmed for an
 //     accounting advantage.
 //
-// Each reap emits trace.KindReap to the Tracer (Tracer.OnReap), counts in
+// Each reap records a trace.KindReap event with the Tracer, counts in
 // StatsSnapshot.Reaped/ReapedHold and scl_entities_reaped_total, and the
 // live count is StatsSnapshot.Registered, Mutex.Entities and
 // scl_entities_registered. See examples/churn for the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scl"
+	"scl/internal/barging"
 	"scl/lockstat"
 )
 
@@ -46,7 +47,7 @@ func workload(analytics, frontend interface {
 
 func main() {
 	// Step 1: measure the existing (barging) lock.
-	plain := lockstat.Wrap(&scl.BargingMutex{})
+	plain := lockstat.Wrap(&barging.Mutex{})
 	workload(plain.Handle("analytics"), plain.Handle("frontend"))
 	rep := plain.Report()
 	fmt.Println(rep)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scl"
+	"scl/internal/barging"
 	"scl/internal/metrics"
 	"scl/internal/vfs"
 )
@@ -36,7 +37,7 @@ func run(lockKind string) {
 		bullyLock = m.Register().SetName("bully")
 		victimLock = m.Register().SetName("victim")
 	default:
-		m := &scl.BargingMutex{}
+		m := &barging.Mutex{}
 		bullyLock, victimLock = m, m
 	}
 

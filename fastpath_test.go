@@ -11,26 +11,17 @@ import (
 )
 
 // recTracer records every event in order (thread-safe: the fast path may
-// invoke hooks without the lock's internal mutex).
+// record without the lock's internal mutex).
 type recTracer struct {
 	mu  sync.Mutex
 	evs []trace.Event
 }
 
-func (r *recTracer) add(ev trace.Event) {
+func (r *recTracer) Record(ev trace.Event) {
 	r.mu.Lock()
 	r.evs = append(r.evs, ev)
 	r.mu.Unlock()
 }
-
-func (r *recTracer) OnAcquire(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnRelease(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnSliceEnd(ev trace.Event) { r.add(ev) }
-func (r *recTracer) OnBan(ev trace.Event)      { r.add(ev) }
-func (r *recTracer) OnHandoff(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnAbandon(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnReap(ev trace.Event)     { r.add(ev) }
-func (r *recTracer) OnCombine(ev trace.Event)  { r.add(ev) }
 
 func (r *recTracer) events() []trace.Event {
 	r.mu.Lock()
@@ -144,5 +135,61 @@ func TestScriptedKSCLEventStream(t *testing.T) {
 	}
 	if s.Bans[a.ID()] != 0 {
 		t.Fatalf("lone entity banned %d times", s.Bans[a.ID()])
+	}
+}
+
+// tracerFunc adapts a function to the Tracer interface.
+type tracerFunc func(trace.Event)
+
+func (f tracerFunc) Record(ev trace.Event) { f(ev) }
+
+// TestExpiredReleaseShutsOutFastSibling pins the release that ends a
+// slice with a waiter queued: the held bit must drop in the same step
+// that stale-marks the slice, or a fast-path sibling of the outgoing
+// owner can take the free lock just before the slice is transferred,
+// and then share it with the grantee. The slice-end event is recorded
+// inside that release, so the tracer (deliberately breaking the
+// no-callback rule) attempts the sibling's fast acquire right there.
+func TestExpiredReleaseShutsOutFastSibling(t *testing.T) {
+	m := NewMutex(Options{Slice: time.Millisecond})
+	a := m.Register()
+	sib := a.Sibling()
+	b := m.Register()
+	a.Lock()
+	// Keep the slice timer from stale-marking the slice while A holds, so
+	// the slice ends at A's release rather than at the timer.
+	m.lockMu()
+	m.timer.Stop()
+	m.unlockMu()
+	granted := make(chan struct{})
+	go func() {
+		b.Lock()
+		close(granted)
+	}()
+	for m.word.Load()&wordWaiters == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(2 * time.Millisecond) // run past the slice end
+	var tried, stole bool
+	m.SetTracer(tracerFunc(func(ev trace.Event) {
+		if ev.Kind == trace.KindSliceEnd && ev.Entity == a.ID() {
+			tried, stole = true, m.fastLock(sib)
+		}
+	}))
+	a.Unlock()
+	if !tried {
+		t.Fatal("A's release did not end the slice")
+	}
+	if stole {
+		t.Fatal("a fast-path sibling took the lock while the expiring slice was being transferred")
+	}
+	select {
+	case <-granted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued waiter never granted")
+	}
+	b.Unlock()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scl"
+	"scl/internal/barging"
 	"scl/internal/metrics"
 )
 
@@ -44,10 +45,10 @@ func RunReal(cfg RealConfig) RealResult {
 	total := cfg.FindThreads + cfg.InsertThreads
 
 	var usclLock *scl.Mutex
-	var barging sync.Locker
+	var plain sync.Locker
 	switch cfg.Lock {
 	case "", "barging":
-		barging = &scl.BargingMutex{}
+		plain = &barging.Mutex{}
 	case "uscl":
 		usclLock = scl.NewMutex(scl.Options{Slice: cfg.Slice})
 	default:
@@ -70,7 +71,7 @@ func RunReal(cfg RealConfig) RealResult {
 		if usclLock != nil {
 			lk = usclLock.Register().SetName(fmt.Sprintf("%s-%d", kinds[i], i))
 		} else {
-			lk = barging
+			lk = plain
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(i)))
 		wg.Add(1)

@@ -10,9 +10,12 @@ package check_test
 
 import (
 	"flag"
+	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"scl"
 	"scl/internal/check"
 	"scl/internal/check/workloads"
 	"scl/internal/scenario"
@@ -228,6 +231,49 @@ func TestExploreRWChurn(t *testing.T) {
 		n = 400
 	}
 	sum := check.Explore(check.Opts{Schedules: n, Seed: 4, Mode: "pct", Depth: 3}, w)
+	if sum.Failure != nil {
+		t.Fatalf("exploration failed:\n%v", sum.Failure)
+	}
+	t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+}
+
+// TestExploreRWWriters runs two writers re-acquiring back to back with
+// no virtual time passing, so one writer's fast-path WLock and WUnlock
+// can land inside the other's slow-path acquire: between its check of
+// writer-active and raising it, or before its waiters bit goes up. Every
+// schedule must admit one writer at a time and grant every queued one
+// (a stranded waiter shows up as a scheduler deadlock).
+func TestExploreRWWriters(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	var l *scl.RWLock
+	w := check.Workload{
+		Name: "rw-writers",
+		Setup: func(s *check.Sched) {
+			l = scl.NewRWLock(1, 1, 2*time.Millisecond)
+			writers := new(int)
+			for i := 0; i < 2; i++ {
+				s.Go(fmt.Sprintf("w%d", i), func() {
+					for j := 0; j < 3; j++ {
+						l.WLock()
+						if *writers++; *writers != 1 {
+							s.Failf("%d writers active", *writers)
+						}
+						check.Point("test.rw.hold")
+						*writers--
+						l.WUnlock()
+					}
+				})
+			}
+		},
+		Validate: func() error { return l.CheckInvariants() },
+	}
+	n := 2000
+	if testing.Short() {
+		n = 500
+	}
+	sum := check.Explore(check.Opts{Schedules: n, Seed: 5, Mode: "random"}, w)
 	if sum.Failure != nil {
 		t.Fatalf("exploration failed:\n%v", sum.Failure)
 	}

@@ -547,14 +547,9 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 		if wweight <= 0 {
 			wweight = 1
 		}
-		var ro []Option
-		if lo.InactiveTimeout > 0 {
-			ro = append(ro, WithInactiveGC(lo.InactiveTimeout))
-		}
-		ml.rw = NewRWLock(rweight, wweight, lo.sliceLen(), append(ro, WithName(key))...)
-		if lo.Tracer != nil {
-			ml.rw.SetTracer(lo.Tracer)
-		}
+		// NewRWLock reads the name, the per-key GC threshold and the
+		// tracer from its Options: hand it the key's, as NewMutex gets.
+		ml.rw = NewRWLock(rweight, wweight, lo.sliceLen(), func(o *Options) { *o = lo })
 	} else {
 		ml.mu = NewMutex(lo)
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scl/trace"
 )
 
 // invariants fails the test on the first manager invariant violation.
@@ -51,6 +53,57 @@ func TestManagerBasic(t *testing.T) {
 	invariants(t, m)
 	if st := m.Stats(); st.Identities != 0 {
 		t.Fatalf("%d identities survive Close", st.Identities)
+	}
+}
+
+// TestManagerTracing: ManagerOptions.Lock.Tracer reaches every
+// materialized key lock, mutex and RW alike, and each key's events carry
+// the key as their lock name.
+func TestManagerTracing(t *testing.T) {
+	keys := []string{"k0", "k1", "k2"}
+	for _, tc := range []struct {
+		name string
+		rw   bool
+		lock func(tn *Tenant, key string, i int) *Grant
+	}{
+		{"mutex", false, func(tn *Tenant, key string, _ int) *Grant { return tn.Lock(key) }},
+		{"rw", true, func(tn *Tenant, key string, i int) *Grant {
+			if i%2 == 0 {
+				return tn.RLock(key)
+			}
+			return tn.WLock(key)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recTracer{}
+			m := NewManager(ManagerOptions{RW: tc.rw, Lock: Options{Slice: time.Millisecond, Tracer: rec}})
+			tn := m.Tenant("a", NiceToWeight(0))
+			const rounds = 2
+			for i := 0; i < rounds; i++ {
+				for _, key := range keys {
+					tc.lock(tn, key, i).Unlock()
+				}
+			}
+			tn.Close()
+			acquires, releases := map[string]int{}, map[string]int{}
+			for _, ev := range rec.events() {
+				switch ev.Kind {
+				case trace.KindAcquire:
+					acquires[ev.Lock]++
+				case trace.KindRelease:
+					releases[ev.Lock]++
+				}
+			}
+			for _, key := range keys {
+				if acquires[key] != rounds || releases[key] != rounds {
+					t.Errorf("key %s: %d acquires, %d releases, want %d each",
+						key, acquires[key], releases[key], rounds)
+				}
+			}
+			if len(acquires) != len(keys) || len(releases) != len(keys) {
+				t.Errorf("events name locks %v / %v, want exactly the keys %v", acquires, releases, keys)
+			}
+		})
 	}
 }
 

@@ -41,13 +41,8 @@ import (
 // the slow path and runs the boundary (transfer, penalty, events).
 type Mutex struct {
 	opts   Options
-	name   string
 	fastOK bool // slices have nonzero length (k-SCL disables the fast path)
-
-	// tracer is read lock-free on the fast path; SetTracer swaps it
-	// atomically (a plain field would race once acquire/release no longer
-	// hold mu).
-	tracer atomic.Pointer[Tracer]
+	tracer tracerSlot
 
 	// word is the packed fast-path state: {held, transfer, waiters, stale,
 	// owner id}. The fast path CASes it without mu; the slow path mutates
@@ -113,7 +108,7 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 	}
 	m := &Mutex{
 		opts:   opts,
-		name:   opts.Name,
+		tracer: tracerSlot{lock: opts.Name},
 		fastOK: opts.sliceLen() > 0,
 		refs:   make(map[core.ID]int),
 		acct: core.NewAccountant(core.Params{
@@ -123,34 +118,18 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 		}),
 	}
 	m.fastSince = -1
-	if opts.Tracer != nil {
-		t := opts.Tracer
-		m.tracer.Store(&t)
-	}
+	m.tracer.set(opts.Tracer)
 	m.stats.init()
 	return m
 }
 
 // Name returns the lock's configured label ("" if unnamed).
-func (m *Mutex) Name() string { return m.name }
+func (m *Mutex) Name() string { return m.tracer.lock }
 
 // SetTracer installs (or, with nil, removes) a Tracer at runtime, e.g. to
 // attach a trace.Ring flight recorder to a live lock. The swap is atomic
 // and safe against concurrent fast-path lock operations.
-func (m *Mutex) SetTracer(t Tracer) {
-	if t == nil {
-		m.tracer.Store(nil)
-		return
-	}
-	m.tracer.Store(&t)
-}
-
-func (m *Mutex) loadTracer() Tracer {
-	if p := m.tracer.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (m *Mutex) SetTracer(t Tracer) { m.tracer.set(t) }
 
 // Handle is one schedulable entity's endpoint on a Mutex. A Handle must
 // not be used concurrently with itself (it represents a single thread of
@@ -335,13 +314,10 @@ func (m *Mutex) maybeReap(now time.Duration) {
 		// operation in flight: reaping its entity would strand the charge.
 		return m.entityCombining(id)
 	})
-	t := m.loadTracer()
 	for _, r := range reaped {
 		delete(m.refs, r.ID)
 		name := m.stats.onReap(int64(r.ID), now)
-		if t != nil {
-			t.OnReap(m.event(trace.KindReap, now, r.ID, name, r.Idle))
-		}
+		m.tracer.emit(trace.KindReap, now, int64(r.ID), name, r.Idle)
 	}
 	for id, e := range m.stats.entities {
 		cid := core.ID(id)
@@ -354,9 +330,7 @@ func (m *Mutex) maybeReap(now time.Duration) {
 		}
 		idle := now - e.settledAt
 		name := m.stats.onReap(id, now)
-		if t != nil {
-			t.OnReap(m.event(trace.KindReap, now, cid, name, idle))
-		}
+		m.tracer.emit(trace.KindReap, now, id, name, idle)
 	}
 	if len(reaped) > 0 {
 		m.debugCheckBooks()
@@ -413,10 +387,10 @@ func (m *Mutex) fastLock(h *Handle) bool {
 	}
 	m.fastHeld = true
 	m.fastOps.Add(1)
-	if t := m.loadTracer(); t != nil {
+	if m.tracer.on() {
 		now := monotime()
 		m.csStart = now
-		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, 0))
+		m.tracer.emit(trace.KindAcquire, now, int64(h.id), h.name, 0)
 	} else {
 		m.csStart = 0 // a stale start must not leak into a traced release
 	}
@@ -438,9 +412,9 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 		// mutual exclusion.
 		return false
 	}
-	t := m.loadTracer()
+	traced := m.tracer.on()
 	var now, hold time.Duration
-	if t != nil {
+	if traced {
 		now = monotime()
 		if m.csStart > 0 {
 			hold = now - m.csStart
@@ -452,8 +426,8 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 		m.fastHeld = true // slow path will finish this release
 		return false
 	}
-	if t != nil {
-		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, hold))
+	if traced {
+		m.tracer.emit(trace.KindRelease, now, int64(h.id), h.name, hold)
 	}
 	// A publish that raced the release CAS would otherwise park with
 	// nobody coming to drain it; wake-walk so it observes the free lock.
@@ -681,9 +655,7 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 		wait = 0
 	}
 	m.stats.onAbandon(int64(h.id), h.name)
-	if t := m.loadTracer(); t != nil {
-		t.OnAbandon(m.event(trace.KindAbandon, now, h.id, h.name, wait))
-	}
+	m.tracer.emit(trace.KindAbandon, now, int64(h.id), h.name, wait)
 }
 
 // TryLock attempts to acquire the mutex without blocking and reports
@@ -797,9 +769,7 @@ func (m *Mutex) acquireLocked(h *Handle, now, reqAt time.Duration) {
 	}
 	m.acct.OnAcquire(h.id, now)
 	m.stats.onAcquire(int64(h.id), h.name, now, wait)
-	if t := m.loadTracer(); t != nil {
-		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, wait))
-	}
+	m.tracer.emit(trace.KindAcquire, now, int64(h.id), h.name, wait)
 }
 
 // fold settles the open fast window: the wall-clock span since the window
@@ -940,28 +910,47 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		rel = m.acct.OnRelease(h.id, now)
 		m.stats.onRelease(int64(h.id), now)
 	}
-	if t := m.loadTracer(); t != nil {
-		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, rel.Hold))
-	}
+	m.tracer.emit(trace.KindRelease, now, int64(h.id), h.name, rel.Hold)
 	if m.combine.Load() != nil {
 		// Execute published critical sections before surrendering the held
 		// bit: the holder's own hold (measured above) never includes the
 		// drain, and each closure is charged to its publishing entity.
 		now = m.drainCombine(h, now)
 	}
-	m.mutate(func(w uint64) uint64 { return w &^ wordHeld })
-	if t := m.loadTracer(); t != nil {
-		if rel.SliceExpired {
-			t.OnSliceEnd(m.event(trace.KindSliceEnd, now, h.id, h.name, rel.SliceUse))
+	_, open := m.refs[h.id]
+	ghost := !open && !m.entityQueued(h.id)
+	// Work-conserving groups (paper §6): with the slice live, a queued
+	// sibling of the slice-owning entity may take the free lock for the
+	// rest of the slice — jumping the queue, since the slice is its
+	// entity's to use — instead of letting the lock idle through the
+	// releaser's non-critical section.
+	var intra *waiter
+	if !ghost && !rel.SliceExpired {
+		if owner, ok := m.acct.SliceOwner(); ok && m.word.Load()&wordTransfer == 0 {
+			intra = m.takeClassWaiter(owner)
 		}
-		if rel.Penalty > 0 {
-			t.OnBan(m.event(trace.KindBan, now, h.id, h.name, rel.Penalty))
+	}
+	// Surrender the held bit in the same step that raises the sibling's
+	// grant, or that stale-marks an expired slice: in a gap between the
+	// two, a fast-path sibling of the owner could take the free lock and
+	// then share it with the next grantee.
+	m.mutate(func(w uint64) uint64 {
+		w &^= wordHeld
+		if intra != nil {
+			w |= wordTransfer
+		} else if rel.SliceExpired && m.fastOK {
+			w |= wordStale
 		}
+		return w
+	})
+	if rel.SliceExpired {
+		m.tracer.emit(trace.KindSliceEnd, now, int64(h.id), h.name, rel.SliceUse)
 	}
 	if rel.Penalty > 0 {
+		m.tracer.emit(trace.KindBan, now, int64(h.id), h.name, rel.Penalty)
 		m.stats.onBan(int64(h.id), rel.Penalty)
 	}
-	if _, open := m.refs[h.id]; !open && !m.entityQueued(h.id) {
+	if ghost {
 		// Closed while this hold was in flight: finish the deferred
 		// unregistration and run the boundary — there is no owner left to
 		// keep the slice for.
@@ -970,22 +959,12 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		return
 	}
 	if !rel.SliceExpired {
-		// Work-conserving groups (paper §6): a queued sibling of the
-		// slice-owning entity may take the free lock for the rest of the
-		// slice — jumping the queue, since the slice is its entity's to
-		// use — instead of letting the lock idle through the releaser's
-		// non-critical section.
-		if owner, ok := m.acct.SliceOwner(); ok && m.word.Load()&wordTransfer == 0 {
-			if w := m.takeClassWaiter(owner); w != nil {
-				m.fastSince = -1
-				if w2 := m.mutate(func(x uint64) uint64 { return x | wordTransfer }); debugChecks && w2&wordHeld != 0 {
-					debugFail("intra transfer set while a fast-path holder is active")
-				}
-				w.intra = true
-				m.handoff(w, now)
-				w.grant()
-				return
-			}
+		if intra != nil {
+			m.fastSince = -1
+			intra.intra = true
+			m.handoff(intra, now)
+			intra.grant()
+			return
 		}
 		// The lock idles with a live slice: open a fast window for the
 		// owner and keep the slice-end timer armed.
@@ -1002,9 +981,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 // handoff records an ownership grant to w. m.mu held.
 func (m *Mutex) handoff(w *waiter, now time.Duration) {
 	m.stats.onHandoff(int64(w.h.id))
-	if t := m.loadTracer(); t != nil {
-		t.OnHandoff(m.event(trace.KindHandoff, now, w.h.id, w.h.name, 0))
-	}
+	m.tracer.emit(trace.KindHandoff, now, int64(w.h.id), w.h.name, 0)
 }
 
 // takeClassWaiter finds a queued waiter of the given entity, detaching it
@@ -1068,10 +1045,8 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 	}
 	m.fold(now)
 	m.fastSince = -1
-	if t := m.loadTracer(); t != nil {
-		// No release will report this slice end; the boundary does.
-		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
-	}
+	// No release will report this slice end; the boundary does.
+	m.tracer.emit(trace.KindSliceEnd, now, int64(owner), "", 0)
 	m.acct.ClearSlice()
 	m.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
 	m.dropGhostLocked(owner, now)
@@ -1152,11 +1127,9 @@ func (m *Mutex) onSliceTimer() {
 		return
 	}
 	m.fold(now)
-	if t := m.loadTracer(); t != nil {
-		// The slice ran out while the owner sat outside the critical
-		// section; no release will report it, so the timer does.
-		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
-	}
+	// The slice ran out while the owner sat outside the critical
+	// section; no release will report it, so the timer does.
+	m.tracer.emit(trace.KindSliceEnd, now, int64(owner), "", 0)
 	m.transferLocked(now)
 }
 

@@ -180,11 +180,10 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 		return now
 	}
 	l.unlockMu()
-	t := l.loadTracer()
 	var total time.Duration
 	type span struct{ start, end time.Duration }
-	var spans []span
-	if t != nil {
+	var spans []span // per-closure times, kept only while traced
+	if l.tracer.on() {
 		spans = make([]span, len(batch))
 	}
 	ran := 0
@@ -230,7 +229,7 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 		start := at
 		r.fn()
 		at = monotime()
-		if t != nil {
+		if spans != nil {
 			spans[i] = span{start, at}
 		}
 		total += at - start
@@ -243,15 +242,15 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 	// only ops and events remain.
 	l.writerOps.Add(int64(len(batch)))
 	l.writerCombines.Add(int64(len(batch)))
-	if t != nil {
-		t.OnCombine(l.event(trace.KindCombine, now, trace.EntityWriters, total))
+	if spans != nil {
+		l.tracer.emit(trace.KindCombine, now, trace.EntityWriters, "", total)
 		for i, r := range batch {
 			wait := spans[i].start - r.since
 			if wait < 0 {
 				wait = 0
 			}
-			t.OnAcquire(l.event(trace.KindAcquire, spans[i].start, trace.EntityWriters, wait))
-			t.OnRelease(l.event(trace.KindRelease, spans[i].end, trace.EntityWriters, spans[i].end-spans[i].start))
+			l.tracer.emit(trace.KindAcquire, spans[i].start, trace.EntityWriters, "", wait)
+			l.tracer.emit(trace.KindRelease, spans[i].end, trace.EntityWriters, "", spans[i].end-spans[i].start)
 		}
 	}
 	check.Point("rw.combine.handoff")

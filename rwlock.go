@@ -56,8 +56,7 @@ type RWLock struct {
 	mu   sync.Mutex
 	ctrl *core.RWController
 
-	name   string
-	tracer atomic.Pointer[Tracer]
+	tracer tracerSlot
 
 	// word packs {writer-active, phase-write, waiters, phase epoch}; it
 	// carries the coordination bits while the reader count lives in the
@@ -201,12 +200,19 @@ func (l *RWLock) fastReaderOps() int64 {
 	return s
 }
 
-// decReaderLocked removes one reader from the indicator on behalf of a
-// slow-path release: the caller's own shard when it is positive (the
-// common case — the matching fast +1 landed there), else the most
-// positive shard, keeping individual counters near zero. The caller has
-// established Σ > 0, so a positive shard exists. l.mu held.
-func (l *RWLock) decReaderLocked() {
+// releaseReaderLocked traces a slow-path release by one of sum readers
+// and removes it from the indicator: the caller's own shard when it is
+// positive (the common case — the matching fast +1 landed there), else
+// the most positive shard, keeping individual counters near zero. The
+// caller has established sum = Σ > 0, so a positive shard exists. The
+// event's detail is the busy interval — the union of the overlapping
+// reads — when the last reader leaves, zero otherwise. l.mu held.
+func (l *RWLock) releaseReaderLocked(sum int64, now time.Duration) {
+	var busy time.Duration
+	if sum == 1 {
+		busy = now - l.rStart
+	}
+	l.tracer.emit(trace.KindRelease, now, trace.EntityReaders, "", busy)
 	sh := &l.shards[rwShardIndex()]
 	if sh.count.Load() > 0 {
 		sh.count.Add(-1)
@@ -238,11 +244,12 @@ const rwQueueKeep = 16
 
 // NewRWLock creates an RW-SCL with the given class weights (e.g. 9 and 1)
 // and slice period (0 = the 2ms default, split between the classes in
-// weight proportion). Options may set a name (WithName), a tracer, or
-// idle-memory bounding (WithInactiveGC): an RW-SCL accounts per class
-// rather than per entity, so there is no entity state to reap — the GC
-// threshold instead bounds how long the waiter queues' grown backing
-// arrays outlive the contention burst that grew them.
+// weight proportion). Options may set a name (WithName) or idle-memory
+// bounding (WithInactiveGC): an RW-SCL accounts per class rather than
+// per entity, so there is no entity state to reap — the GC threshold
+// instead bounds how long the waiter queues' grown backing arrays
+// outlive the contention burst that grew them. Install a Tracer with
+// SetTracer.
 func NewRWLock(readWeight, writeWeight int64, period time.Duration, opts ...Option) *RWLock {
 	var o Options
 	for _, fn := range opts {
@@ -255,34 +262,19 @@ func NewRWLock(readWeight, writeWeight int64, period time.Duration, opts ...Opti
 			ReadWeight:  readWeight,
 			WriteWeight: writeWeight,
 		}),
-		name:       o.Name,
+		tracer:     tracerSlot{lock: o.Name},
 		inactive:   o.InactiveTimeout,
 		emptySince: -1,
 		createdAt:  now,
 		phaseStart: now,
 	}
 	l.lastAt.Store(int64(now))
-	if o.Tracer != nil {
-		t := o.Tracer
-		l.tracer.Store(&t)
-	}
-	return l
-}
-
-// SetName labels the lock in trace events and metrics export.
-func (l *RWLock) SetName(name string) *RWLock {
-	l.lockMu()
-	l.name = name
-	l.unlockMu()
+	l.tracer.set(o.Tracer)
 	return l
 }
 
 // Name returns the lock's configured label ("" if unnamed).
-func (l *RWLock) Name() string {
-	l.lockMu()
-	defer l.unlockMu()
-	return l.name
-}
+func (l *RWLock) Name() string { return l.tracer.lock }
 
 // SetTracer installs (or, with nil, removes) a Tracer. The reader and
 // writer classes appear as the pseudo-entities trace.EntityReaders and
@@ -298,24 +290,8 @@ func (l *RWLock) SetTracer(t Tracer) {
 	l.rStart = now
 	l.wStart = now
 	l.phaseStart = now
-	if t == nil {
-		l.tracer.Store(nil)
-	} else {
-		l.tracer.Store(&t)
-	}
+	l.tracer.set(t)
 	l.unlockMu()
-}
-
-func (l *RWLock) loadTracer() Tracer {
-	if p := l.tracer.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// event assembles a trace.Event for this lock. l.mu held.
-func (l *RWLock) event(kind trace.Kind, now time.Duration, entity int64, detail time.Duration) trace.Event {
-	return trace.Event{At: now, Kind: kind, Lock: l.name, Entity: entity, Detail: detail}
 }
 
 // charge advances the usage integrals: the interval since the previous
@@ -356,6 +332,18 @@ func (l *RWLock) mutateWord(f func(uint64) uint64) uint64 {
 	}
 }
 
+// setWActiveLocked raises writer-active unless it is already up — a
+// fast-path writer's CAS may land after the caller read the word — and
+// reports whether this call raised it. l.mu held.
+func (l *RWLock) setWActiveLocked() bool {
+	won := false
+	l.mutateWord(func(x uint64) uint64 {
+		won = x&rwWActive == 0
+		return x | rwWActive
+	})
+	return won
+}
+
 // fastRLock is the read-slice fast path: one Add on the caller's shard,
 // no mutex, and — in real time — no clock read. Eligible only while the
 // read slice is active with no writer holding and nobody queued, and no
@@ -366,7 +354,7 @@ func (l *RWLock) mutateWord(f func(uint64) uint64) uint64 {
 // +1 before queuing). No interleaving lets a writer in on top of an
 // admitted fast reader.
 func (l *RWLock) fastRLock() bool {
-	if l.tracer.Load() != nil {
+	if l.tracer.on() {
 		return false
 	}
 	if l.word.Load()&rwFastBlock != 0 {
@@ -405,7 +393,7 @@ func (l *RWLock) fastRLock() bool {
 // positive shard at all falls back to the slow path, which re-sums
 // exactly and still panics on a genuine unlock-without-lock.
 func (l *RWLock) fastRUnlock() bool {
-	if l.tracer.Load() != nil {
+	if l.tracer.on() {
 		return false
 	}
 	if l.word.Load()&rwWaiters != 0 {
@@ -438,7 +426,7 @@ func (l *RWLock) fastRUnlock() bool {
 func (l *RWLock) fastWLock(now time.Duration) bool {
 	for {
 		w := l.word.Load()
-		if w&(rwWActive|rwWaiters) != 0 || w&rwPhaseWrite == 0 || l.tracer.Load() != nil {
+		if w&(rwWActive|rwWaiters) != 0 || w&rwPhaseWrite == 0 || l.tracer.on() {
 			return false
 		}
 		check.Point("rw.fast.wlock")
@@ -463,7 +451,7 @@ func (l *RWLock) fastWLock(now time.Duration) bool {
 func (l *RWLock) fastWUnlock(now time.Duration) bool {
 	for {
 		w := l.word.Load()
-		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.Load() != nil {
+		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.on() {
 			return false
 		}
 		if l.wcombine.Load() != nil {
@@ -544,9 +532,7 @@ func (l *RWLock) rlockSlow() (chan struct{}, time.Duration) {
 		}
 		l.shards[rwShardIndex()].count.Add(1)
 		l.readerOps.Add(1)
-		if t := l.loadTracer(); t != nil {
-			t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityReaders, 0))
-		}
+		l.tracer.emit(trace.KindAcquire, now, trace.EntityReaders, "", 0)
 		l.unlockMu()
 		return nil, now
 	}
@@ -573,14 +559,7 @@ func (l *RWLock) RUnlock() {
 	}
 	w := l.word.Load()
 	l.charge(sum, w&rwWActive != 0, now)
-	l.decReaderLocked()
-	if t := l.loadTracer(); t != nil {
-		var busy time.Duration
-		if sum == 1 {
-			busy = now - l.rStart // the union of the overlapping reads
-		}
-		t.OnRelease(l.event(trace.KindRelease, now, trace.EntityReaders, busy))
-	}
+	l.releaseReaderLocked(sum, now)
 	l.advanceLocked(now)
 	l.unlockMu()
 }
@@ -655,22 +634,28 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 	l.advanceLocked(now)
 	w := l.word.Load()
 	// During the write phase the phase bit blocks fast readers, so a
-	// zero sweep is definitive: no reader holds and none can enter.
-	if l.ctrl.Phase() == core.PhaseWrite && w&rwWActive == 0 && l.readerSum() == 0 {
+	// zero sweep is definitive: no reader holds and none can enter. A
+	// fast-path writer still can, so writer-active is raised only if it
+	// is still clear; losing that race means queueing.
+	write := l.ctrl.Phase() == core.PhaseWrite
+	if write && w&rwWActive == 0 && l.readerSum() == 0 && l.setWActiveLocked() {
 		l.classEntered(now)
 		l.charge(0, false, now)
-		l.mutateWord(func(x uint64) uint64 { return x | rwWActive })
 		l.writerOps.Add(1)
 		l.wStart = now
-		if t := l.loadTracer(); t != nil {
-			t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, 0))
-		}
+		l.tracer.emit(trace.KindAcquire, now, trace.EntityWriters, "", 0)
 		l.unlockMu()
 		return nil, now
 	}
 	ch := make(chan struct{}, 1)
 	l.waitW = append(l.waitW, rwWaiter{ch: ch, since: now})
-	l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
+	w = l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
+	if write && w&rwWActive == 0 && l.readerSum() == 0 {
+		// The holder that made this writer queue left on a fast path
+		// before the waiters bit went up, so no release will grant the
+		// queue: grant it here.
+		l.grantLocked(now)
+	}
 	l.armPhaseTimer()
 	l.unlockMu()
 	return ch, now
@@ -700,20 +685,11 @@ func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64
 	if entity == trace.EntityReaders {
 		sum := l.readerSum()
 		l.charge(sum, false, now)
-		l.decReaderLocked()
-		if t := l.loadTracer(); t != nil {
-			var busy time.Duration
-			if sum == 1 {
-				busy = now - l.rStart // the union of the overlapping reads
-			}
-			t.OnRelease(l.event(trace.KindRelease, now, entity, busy))
-		}
+		l.releaseReaderLocked(sum, now)
 	} else {
 		l.charge(0, true, now)
 		l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
-		if t := l.loadTracer(); t != nil {
-			t.OnRelease(l.event(trace.KindRelease, now, entity, now-l.wStart))
-		}
+		l.tracer.emit(trace.KindRelease, now, entity, "", now-l.wStart)
 	}
 	l.noteAbandonLocked(entity, now, now-since)
 	l.advanceLocked(now)
@@ -734,9 +710,7 @@ func (l *RWLock) noteAbandonLocked(entity int64, now, waited time.Duration) {
 	} else {
 		l.writerCancels.Add(1)
 	}
-	if t := l.loadTracer(); t != nil {
-		t.OnAbandon(l.event(trace.KindAbandon, now, entity, waited))
-	}
+	l.tracer.emit(trace.KindAbandon, now, entity, "", waited)
 }
 
 // WUnlock releases the exclusive hold.
@@ -754,9 +728,7 @@ func (l *RWLock) WUnlock() {
 		panic("scl: WUnlock without WLock")
 	}
 	l.charge(0, true, now)
-	if t := l.loadTracer(); t != nil {
-		t.OnRelease(l.event(trace.KindRelease, now, trace.EntityWriters, now-l.wStart))
-	}
+	l.tracer.emit(trace.KindRelease, now, trace.EntityWriters, "", now-l.wStart)
 	if l.wcombine.Load() != nil {
 		// Drain published writer sections while the writer-active bit is
 		// still ours: the closures run under full exclusion, and the
@@ -823,13 +795,11 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 	before := l.ctrl.Phase()
 	if l.ctrl.MaybeSwitch(now, curWants, otherWants) != before {
 		l.phaseFresh = true
-		if t := l.loadTracer(); t != nil {
-			out := trace.EntityReaders
-			if before == core.PhaseWrite {
-				out = trace.EntityWriters
-			}
-			t.OnSliceEnd(l.event(trace.KindSliceEnd, now, out, now-l.phaseStart))
+		out := trace.EntityReaders
+		if before == core.PhaseWrite {
+			out = trace.EntityWriters
 		}
+		l.tracer.emit(trace.KindSliceEnd, now, out, "", now-l.phaseStart)
 		l.phaseStart = now
 		l.mutateWord(func(x uint64) uint64 {
 			x = x&^rwEpoch | (x+1)&rwEpoch // flip advances the epoch
@@ -903,14 +873,11 @@ func (l *RWLock) grantLocked(now time.Duration) {
 		if sum == 0 {
 			l.rStart = now
 		}
-		t := l.loadTracer()
 		for _, wt := range l.waitR {
 			l.shards[wt.shard].count.Add(1)
 			l.readerOps.Add(1)
-			if t != nil {
-				t.OnHandoff(l.event(trace.KindHandoff, now, trace.EntityReaders, 0))
-				t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityReaders, now-wt.since))
-			}
+			l.tracer.emit(trace.KindHandoff, now, trace.EntityReaders, "", 0)
+			l.tracer.emit(trace.KindAcquire, now, trace.EntityReaders, "", now-wt.since)
 			wt.ch <- struct{}{}
 		}
 		l.waitR = l.waitR[:0]
@@ -935,10 +902,8 @@ func (l *RWLock) grantLocked(now time.Duration) {
 	l.mutateWord(func(x uint64) uint64 { return x | rwWActive })
 	l.writerOps.Add(1)
 	l.wStart = now
-	if t := l.loadTracer(); t != nil {
-		t.OnHandoff(l.event(trace.KindHandoff, now, trace.EntityWriters, 0))
-		t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, now-wt.since))
-	}
+	l.tracer.emit(trace.KindHandoff, now, trace.EntityWriters, "", 0)
+	l.tracer.emit(trace.KindAcquire, now, trace.EntityWriters, "", now-wt.since)
 	wt.ch <- struct{}{}
 }
 

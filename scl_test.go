@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scl/internal/barging"
 )
 
 // exerciseMutualExclusion hammers a sync.Locker from several goroutines
@@ -41,18 +43,8 @@ func TestMutexMutualExclusion(t *testing.T) {
 }
 
 func TestBargingMutexMutualExclusion(t *testing.T) {
-	var m BargingMutex
-	exerciseMutualExclusion(t, "BargingMutex", func() sync.Locker { return &m })
-}
-
-func TestSpinLockMutualExclusion(t *testing.T) {
-	var m SpinLock
-	exerciseMutualExclusion(t, "SpinLock", func() sync.Locker { return &m })
-}
-
-func TestTicketLockMutualExclusion(t *testing.T) {
-	var m TicketLock
-	exerciseMutualExclusion(t, "TicketLock", func() sync.Locker { return &m })
+	var m barging.Mutex
+	exerciseMutualExclusion(t, "barging.Mutex", func() sync.Locker { return &m })
 }
 
 func TestMutexUsageFairness(t *testing.T) {

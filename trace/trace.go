@@ -1,5 +1,5 @@
 // Package trace defines the structured lock-event model for the real-time
-// scl stack: the event types emitted through scl.Tracer hooks, a lock-free
+// scl stack: the events the locks deliver to an scl.Tracer, a lock-free
 // bounded ring recorder (Ring) suitable for always-on production tracing,
 // a JSON-lines dump format for offline analysis, and an aggregator that
 // reconstructs the paper's fairness measurements — per-entity hold time,
@@ -20,7 +20,8 @@ import (
 // Kind classifies a lock event.
 type Kind string
 
-// Event kinds, one per scl.Tracer hook.
+// Event kinds, one per step of the lock lifecycle; an scl.Tracer receives
+// every kind through its single Record method.
 const (
 	// KindAcquire: an entity acquired the lock. Detail is the time the
 	// acquisition waited (queueing plus any ban slept out).

@@ -229,15 +229,22 @@ func TestAggregateUnterminatedHold(t *testing.T) {
 }
 
 func TestRingIsATracer(t *testing.T) {
+	// Every kind goes through the one Record method and comes back out of
+	// Events in recording order.
+	kinds := []Kind{KindAcquire, KindRelease, KindSliceEnd, KindBan,
+		KindHandoff, KindAbandon, KindReap, KindCombine}
 	r := NewRing(16)
-	var e Event
-	r.OnAcquire(e)
-	r.OnRelease(e)
-	r.OnSliceEnd(e)
-	r.OnBan(e)
-	r.OnHandoff(e)
-	if got := len(r.Events()); got != 5 {
-		t.Fatalf("hooks recorded %d events, want 5", got)
+	for i, k := range kinds {
+		r.Record(Event{At: time.Duration(i), Kind: k})
+	}
+	evs := r.Events()
+	if len(evs) != len(kinds) {
+		t.Fatalf("recorded %d events, want %d", len(evs), len(kinds))
+	}
+	for i, ev := range evs {
+		if ev.Kind != kinds[i] || ev.At != time.Duration(i) {
+			t.Fatalf("event %d = %s@%v, want %s@%v", i, ev.Kind, ev.At, kinds[i], time.Duration(i))
+		}
 	}
 }
 

@@ -1,75 +1,65 @@
 package scl
 
 import (
+	"sync/atomic"
 	"time"
 
-	"scl/internal/core"
 	"scl/trace"
 )
 
 // Tracer receives structured lock events from the real-time locks: one
-// hook per event kind, mirroring the lifecycle of the paper's mechanism
-// (acquire → release → slice end → ban → handoff). Install a Tracer via
-// Options.Tracer (Mutex) or RWLock.SetTracer; a nil Tracer costs the
-// locks only a nil check per operation.
+// trace.Event per step of the paper's mechanism (acquire → release →
+// slice end → ban → handoff, plus abandon, reap and combine), tagged
+// with its trace.Kind; each Kind documents what its Detail carries.
+// Install a Tracer via Options.Tracer (Mutex) or SetTracer (Mutex,
+// RWLock); a nil Tracer costs the locks only a nil check per operation.
 //
-// Hooks are invoked synchronously from lock operations. Slow-path events
+// Record is invoked synchronously from lock operations. Slow-path events
 // fire with the lock's internal mutex held; fast-path events (the slice
-// owner's lock-free acquire/release) fire without it, so hooks from
+// owner's lock-free acquire/release) fire without it, so records from
 // distinct handles may run concurrently — implementations must be
 // concurrency-safe, fast, must not block, and must not call back into
 // the lock. trace.Ring is the built-in implementation — a lock-free
 // bounded flight recorder safe to leave enabled in production.
 type Tracer interface {
-	// OnAcquire fires when an entity acquires the lock. Detail is the
-	// time the acquisition waited (queueing plus any ban slept out).
-	OnAcquire(trace.Event)
-	// OnRelease fires when an entity releases the lock. Detail is the
-	// critical-section length.
-	OnRelease(trace.Event)
-	// OnSliceEnd fires when a lock slice expires (at the release that
-	// overran it, or on the slice timer if the owner stopped acquiring).
-	// Detail is the hold time the owner accumulated within the slice.
-	OnSliceEnd(trace.Event)
-	// OnBan fires when a penalty is imposed on an over-user (paper §4.2:
-	// computed at release, imposed at its next acquire). Detail is the
-	// ban length.
-	OnBan(trace.Event)
-	// OnHandoff fires when ownership is granted to a waiting entity —
-	// a slice transfer, or an intra-entity sibling handoff (paper §6).
-	OnHandoff(trace.Event)
-	// OnAbandon fires when a cancellable acquisition (LockContext,
-	// RLockContext, WLockContext) gives up because its context was
-	// cancelled while it slept out a ban or sat in the waiter queue.
-	// Detail is the time the attempt had waited. No usage was charged
-	// and no matching release event follows.
-	OnAbandon(trace.Event)
-	// OnReap fires when the inactive-entity GC (WithInactiveGC; the
-	// paper's k-SCL §4.4) removes an entity's accounting state after it
-	// went idle longer than the configured threshold. Detail is how long
-	// the entity had been idle. If the entity returns, it re-registers
-	// through the join-credit floor (a fresh OnAcquire follows; no event
-	// marks the re-registration itself).
-	OnReap(trace.Event)
-	// OnCombine fires when a releasing holder drains a batch of combined
-	// critical sections (Handle.Do / RWLock.Do) and executes them on the
-	// publishers' behalf. The event's entity is the combiner and Detail
-	// is the batch's summed critical-section time; one OnAcquire/OnRelease
-	// pair per combined entity follows under the publishing entity's own
-	// ID, so per-entity views of the stream need no special handling.
-	OnCombine(trace.Event)
-}
-
-// event assembles a trace.Event for this lock.
-func (m *Mutex) event(kind trace.Kind, now time.Duration, id core.ID, name string, detail time.Duration) trace.Event {
-	return trace.Event{
-		At:     now,
-		Kind:   kind,
-		Lock:   m.name,
-		Entity: int64(id),
-		Name:   name,
-		Detail: detail,
-	}
+	Record(trace.Event)
 }
 
 var _ Tracer = (*trace.Ring)(nil)
+
+// tracerSlot is a lock's installed Tracer plus the lock's name, the one
+// place Mutex and RWLock build and deliver events. The Tracer is read
+// lock-free (the fast paths check it without the lock's internal mutex)
+// and swapped atomically by SetTracer.
+type tracerSlot struct {
+	lock string // the owning lock's label; fixed at construction
+	t    atomic.Pointer[Tracer]
+}
+
+func (s *tracerSlot) set(t Tracer) {
+	if t == nil {
+		s.t.Store(nil)
+		return
+	}
+	s.t.Store(&t)
+}
+
+// on reports whether a Tracer is installed.
+func (s *tracerSlot) on() bool { return s.t.Load() != nil }
+
+// emit delivers one event to the installed Tracer, if any. It inlines
+// to a load and a nil check; building the event stays out of line in
+// record, so an untraced lock pays only the check.
+func (s *tracerSlot) emit(kind trace.Kind, at time.Duration, entity int64, name string, detail time.Duration) {
+	if s.t.Load() != nil {
+		s.record(kind, at, entity, name, detail)
+	}
+}
+
+// record builds the event and delivers it. It reloads the Tracer, since
+// a concurrent SetTracer(nil) may have removed it since emit's check.
+func (s *tracerSlot) record(kind trace.Kind, at time.Duration, entity int64, name string, detail time.Duration) {
+	if p := s.t.Load(); p != nil {
+		(*p).Record(trace.Event{At: at, Kind: kind, Lock: s.lock, Entity: entity, Name: name, Detail: detail})
+	}
+}
