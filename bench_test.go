@@ -481,8 +481,8 @@ func BenchmarkSyncMutexContended32(b *testing.B) { benchSyncContended(b, 32) }
 
 // benchMutexContendedDo is benchMutexContended through the combining
 // API: n goroutines, each a distinct entity, run the same tiny section
-// via Handle.Do, so contended calls publish into the combining stack
-// and the releasing holder executes them in batches. The comparison
+// via Handle.Do, so contended calls queue their closures and the
+// releasing holder executes them in batches. The comparison
 // against BenchmarkSyncMutexContended{8,32} is the headline combining
 // number: batching amortizes the ownership handoff that dominates the
 // classic contended ladder.

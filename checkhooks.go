@@ -42,29 +42,20 @@ import (
 // off check.GID (the managed goroutine's spawn index), not runtime
 // identity, so a replayed seed takes identical branches.
 //
-// The combining path (Handle.Do, combine.go) adds three decision sites
-// around its lock-free stack:
+// The combining path (Handle.Do, combine.go) adds two decision sites.
+// A Do caller queues as an ordinary waiter carrying its closure — an
+// append under the lock's internal mutex, itself a schedule point — and
+// parks at "mu.await" like any waiter:
 //
-//   - "mu.combine.publish": between a Do caller observing the lock held
-//     and its push CAS landing — the publish-vs-release race. A release
-//     scheduled here must either drain the request or leave the lock
-//     idle and wake-walk it; the checker explores both.
-//   - "mu.combine.drain": in takeCombineBatch, before the holder swaps
-//     the stack empty — racing publishers land either in this batch or
-//     the next.
+//   - "mu.combine.drain": in takeCombineBatch, before the releasing
+//     holder detaches queued closure waiters — racing Do callers land
+//     either in this batch or a later one.
 //   - "mu.combine.handoff": after a drained batch's charges are booked,
-//     before the publishers are released with the done-store — the
-//     window where a publisher must not yet observe its own completion.
+//     before the waiters are released as ran — the window where a Do
+//     caller must not yet observe its own completion.
 //
-// The publisher's wait parks at "mu.combine.wait" (and
-// "mu.combine.claimed" once a combiner owns the request); its predicate
-// reads only the request state and the packed word, so the explorer can
-// wake it against any interleaving of the drain.
-//
-// RWLock.Do mirrors the same three sites for the writer-side stack —
-// "rw.combine.publish", "rw.combine.drain", "rw.combine.handoff" — with
-// parks at "rw.combine.wait"/"rw.combine.claimed"; the publisher's
-// predicate watches the writer-active bit instead of the held bit.
+// RWLock.Do mirrors them as "rw.combine.drain" and "rw.combine.handoff";
+// its closure entries wait on the writer grant channel at "rw.wwait".
 //
 // The Manager threads its table-level decisions through the same seam:
 // its stripe mutexes go through lockMutex/unlockMutex, and it marks
@@ -93,6 +84,35 @@ func startLockTimer(d time.Duration, f func()) lockTimer {
 	}
 	return time.AfterFunc(d, f)
 }
+
+// sliceTimer is a lock's one reusable slice-end (Mutex) or phase-end
+// (RWLock) timer. Re-arming a fresh timer per operation would spawn a
+// goroutine per firing, which dominates runtime under load. All methods
+// run under the lock's internal mutex.
+type sliceTimer struct {
+	t    lockTimer
+	at   time.Duration // absolute arm target; avoids redundant resets
+	fire func()        // the lock's handler, set at construction
+}
+
+// arm schedules fire for the absolute time end, unless already armed
+// for that end.
+func (s *sliceTimer) arm(end time.Duration) {
+	if s.at == end {
+		return
+	}
+	s.at = end
+	delay := max(end-monotime(), 0)
+	if s.t == nil {
+		s.t = startLockTimer(delay, s.fire)
+		return
+	}
+	s.t.Reset(delay)
+}
+
+// fired marks the armed target consumed, so the next arm re-arms even
+// for the same end.
+func (s *sliceTimer) fired() { s.at = -1 }
 
 // lockMutex acquires a lock-internal mutex through the checker hook:
 // under an installed scheduler the scheduler itself provides exclusion

@@ -2,8 +2,7 @@ package scl
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"scl/internal/check"
@@ -11,68 +10,25 @@ import (
 	"scl/trace"
 )
 
-// Combining critical sections (DESIGN.md §9). Handle.Do lets a contended
-// caller publish its critical section into a lock-free stack instead of
-// queueing for a grant: the current holder, on its way out of the lock,
-// drains a bounded batch and executes the closures itself while it still
-// owns the held bit — one lock handoff amortized over the whole batch.
-// SCL accounting makes this fair, not just fast: the combiner times each
-// closure and FoldBatch charges every publishing entity its own measured
-// critical-section time, with the same immediate penalty decision a
-// zero-slice release would make, so usage shares and bans come out
-// exactly as if each entity had acquired the lock itself.
+// Combining critical sections (DESIGN.md §9). Handle.Do is
+// Lock(); fn(); Unlock() with one difference: a Do caller that finds the
+// lock held queues a waiter carrying its closure, and the holder, on its
+// way out of the lock, takes a bounded batch of those waiters off the
+// queue and executes the closures itself while it still owns the held
+// bit — one lock handoff amortized over the whole batch. A closure waiter
+// the holder does not take is granted like any other waiter and runs its
+// own closure. SCL accounting makes this fair, not just fast: the
+// combiner times each closure and FoldBatch charges every entity its own
+// measured critical-section time, with the same immediate penalty
+// decision a zero-slice release would make, so usage shares and bans come
+// out exactly as if each entity had acquired the lock itself.
 
-// combineBatch bounds how many published critical sections one releasing
-// holder executes before handing the lock on. The bound keeps any single
-// release from turning into an unbounded servant loop (the combiner is a
-// caller that wants to leave); overflow stays published for the next
-// releasing holder.
+// combineBatch bounds how many queued closures one releasing holder
+// executes before handing the lock on. The bound keeps any single release
+// from turning into an unbounded servant loop (the combiner is a caller
+// that wants to leave); the rest stay queued for the next release or an
+// ordinary grant.
 const combineBatch = 16
-
-// combineSpin is how many cooperative-yield rounds a publisher spins
-// before parking on its wake channel. Spinning keeps the common
-// publish→drain round trip futex-free; the bound keeps a crowd of
-// publishers from burning CPU while a long critical section runs.
-// Spinning only pays when another CPU can make progress in the
-// meantime (the same rule sync.Mutex's active spin uses): on a
-// single-CPU configuration every yield just rotates the run queue, so
-// publishers park immediately instead.
-const combineSpin = 96
-
-// combineSpinBudget returns the publisher spin bound for the current
-// processor configuration.
-func combineSpinBudget() int {
-	if runtime.NumCPU() > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return combineSpin
-	}
-	return 0
-}
-
-// States of a published critical section. Exactly-once execution hangs on
-// the two CAS edges out of combinePending: a combiner claims
-// pending→claimed and runs the closure, or the publisher withdraws
-// pending→cancelled (the lock went idle under it) and runs the closure
-// itself on the classic path. Exactly one of the two CASes can win.
-const (
-	combinePending   = int32(iota) // published, unclaimed
-	combineClaimed                 // a combiner owns it and will execute it
-	combineCancelled               // the publisher withdrew it (self-serve)
-	combineRejected                // the combiner declined it (banned entity)
-	combineDone                    // executed, charges booked
-)
-
-// combineReq is one published critical section on the combining stack.
-type combineReq struct {
-	next  atomic.Pointer[combineReq]
-	h     *Handle
-	fn    func()
-	state atomic.Int32
-	wake  chan struct{} // buffered(1): at most one pending signal
-	reqAt time.Duration // publish time, for wait-time stats
-	// start/end are written by the combiner before state→done (the
-	// done-store publishes them to the waiting publisher).
-	start, end time.Duration
-}
 
 // Do runs fn while holding the mutex, like Lock(); fn(); Unlock(), but
 // under contention the critical section may be executed by the current
@@ -88,213 +44,111 @@ type combineReq struct {
 // escapes fn anyway is re-raised, scl-identified, on whichever goroutine
 // ran the closure; the lock itself stays usable.
 func (h *Handle) Do(fn func()) {
-	m := h.m
-	if m.fastLock(h) {
-		fn()
-		if m.fastUnlock(h) {
-			return
-		}
-		m.unlockSlow(h)
-		return
-	}
-	m.doSlow(h, fn)
-}
-
-// doSlow is Do off the owner fast path: publish into the combining stack
-// when someone holds the lock (they will execute fn on their way out),
-// otherwise fall back to the classic acquire.
-func (m *Mutex) doSlow(h *Handle, fn func()) {
-	if m.word.Load()&(wordHeld|wordTransfer) == 0 {
-		m.doClassic(h, fn)
-		return
-	}
-	r := &combineReq{h: h, fn: fn, wake: make(chan struct{}, 1), reqAt: monotime()}
-	for {
-		old := m.combine.Load()
-		r.next.Store(old)
-		// The push races the holder's drain swap and other publishers —
-		// the decision site the checker reorders.
-		check.Point("mu.combine.publish")
-		if m.combine.CompareAndSwap(old, r) {
-			break
+	if !h.m.fastLock(h) {
+		if ran, _ := h.m.lockSlow(h, nil, fn); ran {
+			return // a combiner executed fn and booked the charge
 		}
 	}
-	if m.combineWait(r) {
-		return // a combiner executed fn and booked the charge
-	}
-	// Withdrawn (the lock went idle under us) or rejected (banned; the
-	// classic path serves the penalty out): run the section ourselves.
-	m.doClassic(h, fn)
-}
-
-// doClassic is Do through the ordinary acquire path.
-func (m *Mutex) doClassic(h *Handle, fn func()) {
-	h.Lock()
 	fn()
 	h.Unlock()
 }
 
-// combineWait blocks until the published request is resolved: executed by
-// a combiner (true), or bounced back to the caller (false) because the
-// combiner rejected it or the lock went idle with the request still
-// unclaimed. The liveness argument for parking: every transition the
-// publisher must act on (done, rejected) sends on wake, and every release
-// path that leaves the lock idle wake-walks the stack (wakeCombiners), so
-// a parked publisher always has a signal coming. The withdraw CAS
-// resolves the race between "lock went idle" and "a combiner claimed it"
-// — exactly one side wins the pending state.
-func (m *Mutex) combineWait(r *combineReq) bool {
-	if _, handled := check.WaitOrDone("mu.combine.wait", func() bool {
-		s := r.state.Load()
-		return s != combinePending && s != combineClaimed ||
-			s == combinePending && m.word.Load()&(wordHeld|wordTransfer) == 0
-	}, nil); handled {
-		// Deterministic checker: the predicate parked us until the request
-		// resolved or the lock went idle under a still-pending request.
-		for {
-			switch r.state.Load() {
-			case combineDone:
-				return true
-			case combineRejected:
-				return false
-			case combinePending:
-				if r.state.CompareAndSwap(combinePending, combineCancelled) {
-					return false
-				}
-			default: // claimed in the withdraw window: execution is imminent
-				check.WaitOrDone("mu.combine.claimed", func() bool {
-					return r.state.Load() >= combineCancelled
-				}, nil)
-			}
-		}
-	}
-	budget := combineSpinBudget()
-	for spins := 0; ; {
-		switch r.state.Load() {
-		case combineDone:
-			return true
-		case combineRejected:
-			return false
-		case combinePending:
-			if m.word.Load()&(wordHeld|wordTransfer) == 0 {
-				// The lock went idle with our request unclaimed: withdraw
-				// and self-serve. A lost CAS means a combiner claimed it
-				// in the window; loop and wait for the execution.
-				if r.state.CompareAndSwap(combinePending, combineCancelled) {
-					return false
-				}
-				continue
-			}
-		}
-		if spins < budget {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		<-r.wake
-	}
-}
-
-// wakeCombiners wake-walks the combining stack after the lock went idle:
-// still-pending publishers are signalled so they observe the free lock
-// and withdraw to the classic path (nobody is coming to drain them).
-// Safe without m.mu — it only reads the stack and sends non-blocking
-// signals. The seq-cst ordering argument that no publisher is missed: a
-// publisher pushes only after loading a held/transfer word, so if its
-// push is not visible to this walk, the push (and the publisher's next
-// predicate check) follows the release that made the lock idle — the
-// publisher sees the free word itself and self-serves without a signal.
-func (m *Mutex) wakeCombiners() {
-	r := m.combine.Load()
-	if r == nil || m.word.Load()&(wordHeld|wordTransfer) != 0 {
-		return
-	}
-	for ; r != nil; r = r.next.Load() {
-		if r.state.Load() == combinePending {
-			select {
-			case r.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// takeCombineBatch claims up to combineBatch pending requests off the
-// combining stack (newest first — the stack is LIFO; per-entity fairness
-// comes from the accounting, not grant order), rejects requests of
-// banned entities (their classic fallback serves the ban out), drops
-// withdrawn ones, and re-publishes the overflow for the next combiner.
-// m.mu held; the caller owns the held bit.
-func (m *Mutex) takeCombineBatch(now time.Duration) []*combineReq {
+// takeCombineBatch detaches up to combineBatch queued closure waiters,
+// newest first (per-entity fairness comes from the accounting, not grant
+// order). Waiters of entities banned since they queued are rejected
+// instead: like every rejected waiter, they continue on the classic path
+// — lockSlow's ban loop, then an ordinary acquire. m.mu held; the caller
+// owns the held bit, so no grant is in flight to any waiter, and has
+// established closureQueued.
+func (m *Mutex) takeCombineBatch(now time.Duration) []*waiter {
 	check.Point("mu.combine.drain")
-	head := m.combine.Swap(nil)
-	if head == nil {
-		return nil
-	}
-	var batch []*combineReq
-	var overflow []*combineReq
-	for r := head; r != nil; r = r.next.Load() {
+	var batch []*waiter
+	m.detachClosures(func(w *waiter) bool {
 		switch {
-		case r.state.Load() != combinePending:
-			// Withdrawn (cancelled) — the publisher self-serves; drop it.
-		case m.acct.BannedUntil(r.h.id) > now:
-			r.state.Store(combineRejected)
-			select {
-			case r.wake <- struct{}{}:
-			default:
-			}
+		case m.acct.BannedUntil(w.h.id) > now:
+			w.resolve(waitRejected)
 		case len(batch) < combineBatch:
-			if r.state.CompareAndSwap(combinePending, combineClaimed) {
-				batch = append(batch, r)
-			}
-			// A lost CAS is a concurrent withdraw — drop it.
+			batch = append(batch, w)
 		default:
-			overflow = append(overflow, r)
+			return false
 		}
-	}
-	// Re-publish the overflow, oldest first, so the stack order the next
-	// combiner sees matches the original. New publishers may have pushed
-	// since the swap; the CAS loop interleaves with them.
-	for i := len(overflow) - 1; i >= 0; i-- {
-		r := overflow[i]
-		for {
-			old := m.combine.Load()
-			r.next.Store(old)
-			if m.combine.CompareAndSwap(old, r) {
-				break
-			}
-		}
-	}
+		return true
+	})
 	return batch
 }
 
-// drainCombine executes a batch of published critical sections while the
-// releasing holder still owns the held bit: the closures run outside m.mu
-// (they are user code) with the held word providing mutual exclusion,
-// then the measured times are folded into the accountant, stats and
-// tracer in one re-locked step — per-entity acquire/release bookings at
-// the closures' real timestamps, immediate ChargeWindow-style penalties,
-// and one combine event identifying the combiner. Returns the post-drain
-// clock for the caller's boundary logic. m.mu held on entry and exit.
+// rejectStranded returns the closure waiters still queued when a release
+// leaves the lock idle to the classic path: no holder is coming to run
+// them, so each caller acquires for itself, exactly as the simulator's
+// u-SCL (sim.USCL) models Do. m.mu held.
+func (m *Mutex) rejectStranded() {
+	if m.closureQueued() {
+		m.detachClosures(func(w *waiter) bool { w.resolve(waitRejected); return true })
+	}
+}
+
+// detachClosures removes from the queue, newest first, the closure
+// waiters for which take reports true. The caller has established
+// closureQueued. m.mu held.
+func (m *Mutex) detachClosures(take func(*waiter) bool) {
+	for i := len(m.parked) - 1; i >= 0; i-- {
+		if w := m.parked[i]; w.fn != nil && take(w) {
+			m.parked[i] = nil
+		}
+	}
+	if m.next.fn != nil && take(m.next) {
+		m.next = nil
+	}
+	m.parked = slices.DeleteFunc(m.parked, func(w *waiter) bool { return w == nil })
+	m.promoteHead()
+	m.syncWaitersBit()
+}
+
+// closureQueued reports whether a Handle.Do waiter is queued. m.mu held.
+func (m *Mutex) closureQueued() bool {
+	if m.next == nil {
+		return false
+	}
+	if m.next.fn != nil {
+		return true
+	}
+	for _, w := range m.parked {
+		if w.fn != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// drainCombine executes a batch of queued closures (closureQueued holds)
+// while the releasing holder still owns the held bit: the closures run
+// outside m.mu (they are user code) with the held word providing mutual
+// exclusion, then the measured times are folded into the accountant, stats and tracer in one
+// re-locked step — per-entity acquire/release bookings at the closures'
+// real timestamps, immediate ChargeWindow-style penalties, and one
+// combine event identifying the combiner. Returns the post-drain clock
+// for the caller's boundary logic. m.mu held on entry and exit.
 func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration {
 	batch := m.takeCombineBatch(now)
 	if len(batch) == 0 {
 		return now
 	}
-	// Claimed requests leave the stack; park them where Close and the GC
-	// (entityCombining) still see them while m.mu is released below.
+	// The batch has left the queue; park it where Close and the GC
+	// (entityQueued) still see it while m.mu is released below.
 	m.draining = batch
 	m.unlockMu()
-	var total time.Duration
+	// at[i] and at[i+1] bracket closure i: the closures run back to back.
+	var buf [combineBatch + 1]time.Duration
+	at := buf[:1]
 	ran := 0
 	// Do closures are documented as must-not-panic, but an escaped panic
 	// (or runtime.Goexit) in one would otherwise wedge the whole lock:
-	// m.mu is released, m.draining is populated, the claimed publishers
-	// are parked with no resolution coming, and the held bit stays up.
-	// Fail loudly instead of wedging: resolve the batch, retire the held
-	// word, and let the panic continue scl-identified. The failed batch's
-	// charges are dropped — fairness bookkeeping is best-effort on a path
-	// that is already a contract violation.
+	// m.mu is released, m.draining is populated, the batch's waiters have
+	// no resolution coming, and the held bit stays up. Fail loudly
+	// instead of wedging: resolve the batch, retire the held word, and let
+	// the panic continue scl-identified. The failed batch's charges are
+	// dropped — fairness bookkeeping is best-effort on a path that is
+	// already a contract violation.
 	defer func() {
 		if ran == len(batch) {
 			return // every closure completed; the booking below ran normally
@@ -302,25 +156,20 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 		pv := recover()
 		m.lockMu()
 		m.draining = nil
-		for i, r := range batch {
+		for i, w := range batch {
 			if i <= ran {
 				// Executed (the ran'th closure is the one that blew up):
-				// exactly-once forbids a classic-path re-run, so resolve it
-				// as done, uncharged.
-				r.state.Store(combineDone)
+				// exactly-once forbids a re-run, so resolve it uncharged.
+				w.resolve(waitRan)
 			} else {
-				// Never started: bounce it to the classic path.
-				r.state.Store(combineRejected)
-			}
-			select {
-			case r.wake <- struct{}{}:
-			default:
+				// Never started: back into the queue, to be granted.
+				m.enqueue(w)
 			}
 		}
 		// Retire the held bit and run the boundary so the lock outlives
 		// the panic; unlockSlow's remaining release logic is skipped by the
-		// unwind (its deferred wakeCombiners/unlockMu still run, balanced
-		// by the lockMu above).
+		// unwind (its deferred unlockMu still runs, balanced by the lockMu
+		// above).
 		m.mutate(func(w uint64) uint64 { return w &^ wordHeld })
 		m.transferLocked(monotime())
 		if pv != nil {
@@ -328,90 +177,182 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 		}
 		// pv == nil means runtime.Goexit: the unwind continues on its own.
 	}()
-	at := monotime()
-	for _, r := range batch {
-		r.start = at
-		r.fn()
-		at = monotime()
-		r.end = at
-		total += r.end - r.start
+	at[0] = monotime()
+	for _, w := range batch {
+		w.fn()
+		at = append(at, monotime())
 		ran++
 	}
 	m.lockMu()
 	m.draining = nil
 	now = monotime()
-	m.tracer.emit(trace.KindCombine, now, int64(combiner.id), combiner.name, total)
+	m.tracer.emit(trace.KindCombine, now, int64(combiner.id), combiner.name, at[len(batch)]-at[0])
 	m.stats.onCombine(int64(combiner.id), int64(len(batch)))
 	charges := make([]core.Charge, len(batch))
-	for i, r := range batch {
-		charges[i] = core.Charge{ID: r.h.id, Usage: r.end - r.start}
+	for i, w := range batch {
+		charges[i] = core.Charge{ID: w.h.id, Usage: at[i+1] - at[i]}
 	}
 	pens := m.acct.FoldBatch(charges, now)
-	for i, r := range batch {
-		id, name := r.h.id, r.h.name
-		wait := r.start - r.reqAt
-		if wait < 0 {
-			wait = 0
-		}
-		m.stats.onCombinedOp(int64(id), name, r.start, r.end, wait)
-		m.tracer.emit(trace.KindAcquire, r.start, int64(id), name, wait)
-		m.tracer.emit(trace.KindRelease, r.end, int64(id), name, r.end-r.start)
+	for i, w := range batch {
+		id, name := w.h.id, w.h.name
+		start, end := at[i], at[i+1]
+		wait := max(start-w.reqAt, 0)
+		m.stats.onCombinedOp(int64(id), name, start, end, wait)
+		m.tracer.emit(trace.KindAcquire, start, int64(id), name, wait)
+		m.tracer.emit(trace.KindRelease, end, int64(id), name, end-start)
 		if pens[i] > 0 {
 			m.stats.onBan(int64(id), pens[i])
-			m.tracer.emit(trace.KindBan, r.end, int64(id), name, pens[i])
+			m.tracer.emit(trace.KindBan, end, int64(id), name, pens[i])
 		}
 	}
-	// Release the publishers only after their charges are booked, so a
-	// publisher that immediately re-acquires observes its own usage (and
-	// any fresh ban) on the books.
+	// Release the waiters only after their charges are booked, so one
+	// that immediately re-acquires observes its own usage (and any fresh
+	// ban) on the books.
 	check.Point("mu.combine.handoff")
-	for _, r := range batch {
-		r.state.Store(combineDone)
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
+	for _, w := range batch {
+		w.resolve(waitRan)
 	}
 	// Entities whose last handle closed while their closure was in flight
 	// deferred their unregistration to this completion.
-	for _, r := range batch {
-		m.dropGhostLocked(r.h.id, now)
+	for _, w := range batch {
+		m.dropGhostLocked(w.h.id, now)
 	}
 	return now
 }
 
-// entityCombining reports whether entity id has a published critical
-// section still awaiting execution (pending or claimed). Close and the
-// inactive-entity GC treat such an entity as in flight. m.mu held (the
-// stack may gain nodes concurrently, but never lose them without m.mu).
-func (m *Mutex) entityCombining(id core.ID) bool {
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
-		if r.h.id != id {
-			continue
+// Writer-side combining for the RW-SCL. RWLock.Do is the class analogue
+// of Handle.Do: a writer that finds another writer active queues a
+// writer entry carrying its critical section, and the active writer
+// executes a bounded batch on its way out, while the writer-active bit
+// still excludes both classes. Charging is simpler than the mutex's: the
+// class is the schedulable entity, so the interval accounting (charge)
+// books the drain's wall-clock automatically as writer hold — there is no
+// per-entity batch to fold.
+
+// Do runs fn while holding the lock exclusive, like WLock(); fn();
+// WUnlock(), but when another writer is active the critical section may
+// be executed by that writer on the caller's behalf instead of waiting
+// for the write phase's next grant. fn runs exactly once, under full
+// mutual exclusion (no reader or writer concurrently), and its run time
+// is charged to the writer class either way. fn must not use this RWLock
+// and must not panic; it may run on another writer's goroutine. A panic
+// that escapes fn anyway is re-raised, scl-identified, on whichever
+// goroutine ran the closure; the lock itself stays usable.
+func (l *RWLock) Do(fn func()) {
+	if !l.fastWLock(monotime()) {
+		do := &rwDo{fn: fn}
+		if ch, _ := l.wlockSlow(do); ch != nil && !check.WaitChan("rw.wwait", ch) {
+			<-ch
 		}
-		if s := r.state.Load(); s == combinePending || s == combineClaimed {
-			return true
+		if do.ran {
+			return // the active writer executed fn
 		}
 	}
-	for _, r := range m.draining {
-		if r.h.id == id && r.state.Load() == combineClaimed {
-			return true
-		}
-	}
-	return false
+	fn()
+	l.WUnlock()
 }
 
-// debugCheckCombineQuiet asserts (under scldebug) that no claimed request
-// sits in the combining stack at a slice boundary: drains complete — every
-// claimed closure executed and booked — before ownership transfers.
-// m.mu held.
-func (m *Mutex) debugCheckCombineQuiet() {
-	if !debugChecks {
-		return
-	}
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
-		if r.state.Load() == combineClaimed {
-			debugFail("combining queue has a claimed request at a slice boundary")
+// closureQueued reports whether an RWLock.Do entry is queued. l.mu held.
+func (l *RWLock) closureQueued() bool {
+	return slices.ContainsFunc(l.waitW, func(wt rwWaiter) bool { return wt.do != nil })
+}
+
+// takeWCombineBatch detaches up to combineBatch queued writer closures,
+// newest first. l.mu held; the caller owns the writer-active bit and has
+// established closureQueued.
+func (l *RWLock) takeWCombineBatch() []rwWaiter {
+	check.Point("rw.combine.drain")
+	var batch []rwWaiter
+	for i := len(l.waitW) - 1; i >= 0 && len(batch) < combineBatch; i-- {
+		if l.waitW[i].do != nil {
+			batch = append(batch, l.waitW[i])
+			l.waitW = slices.Delete(l.waitW, i, i+1)
 		}
 	}
+	l.syncWaitersBit()
+	return batch
+}
+
+// drainWCombine executes a batch of queued writer closures (closureQueued
+// holds) while the caller still owns the writer-active bit, then books
+// them: the interval
+// accounting charges the drain as writer hold when the caller's release
+// charge lands, so only the op count and events need explicit handling.
+// l.mu held on entry and exit; returns the post-drain clock.
+func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
+	batch := l.takeWCombineBatch()
+	l.unlockMu()
+	var total time.Duration
+	type span struct{ start, end time.Duration }
+	var spans []span // per-closure times, kept only while traced
+	if l.tracer.on() {
+		spans = make([]span, len(batch))
+	}
+	ran := 0
+	// Same contract-violation backstop as Mutex.drainCombine: a closure
+	// that panics (or Goexits) would otherwise leave the writer-active
+	// bit up and the batch's waiters parked forever, with the unwind
+	// skipping WUnlock's remaining release logic. Resolve the batch,
+	// close out the write phase, and let the panic continue
+	// scl-identified.
+	defer func() {
+		if ran == len(batch) {
+			return // every closure completed; the booking below ran normally
+		}
+		pv := recover()
+		l.lockMu()
+		for i, wt := range batch {
+			if i <= ran {
+				// Executed (including the closure that blew up): exactly-once
+				// forbids a re-run.
+				wt.do.ran = true
+				wt.ch <- struct{}{}
+			} else {
+				// Never started: back into the queue, to be granted.
+				l.waitW = append(l.waitW, wt)
+			}
+		}
+		l.syncWaitersBit()
+		now := monotime()
+		l.charge(0, true, now) // the drain ran inside the writer-active window
+		l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
+		l.advanceLocked(now)
+		l.unlockMu()
+		if pv != nil {
+			panic(fmt.Sprintf("scl: RWLock.Do critical section panicked: %v", pv))
+		}
+		// pv == nil means runtime.Goexit: the unwind continues on its own.
+	}()
+	at := monotime()
+	for i, wt := range batch {
+		start := at
+		wt.do.fn()
+		at = monotime()
+		if spans != nil {
+			spans[i] = span{start, at}
+		}
+		total += at - start
+		ran++
+	}
+	l.lockMu()
+	now = monotime()
+	// The closures ran inside the caller's writer-active window, so the
+	// caller's next charge(0, true, ...) books the drain as writer hold;
+	// only ops and events remain.
+	l.writerOps.Add(int64(len(batch)))
+	l.writerCombines.Add(int64(len(batch)))
+	if spans != nil {
+		l.tracer.emit(trace.KindCombine, now, trace.EntityWriters, "", total)
+		for i, wt := range batch {
+			wait := max(spans[i].start-wt.since, 0)
+			l.tracer.emit(trace.KindAcquire, spans[i].start, trace.EntityWriters, "", wait)
+			l.tracer.emit(trace.KindRelease, spans[i].end, trace.EntityWriters, "", spans[i].end-spans[i].start)
+		}
+	}
+	check.Point("rw.combine.handoff")
+	for _, wt := range batch {
+		wt.do.ran = true
+		wt.ch <- struct{}{}
+	}
+	return now
 }

@@ -9,16 +9,16 @@ import (
 )
 
 // TestAbandonGrantedWakesCombiners pins the liveness contract between the
-// cancellation path and the combining stack: when a cancelled waiter's
-// in-flight grant is retired with nobody left to grant to (abandon →
-// regrantLocked), the word goes fully idle, and a Handle.Do publisher
-// that parked while the transfer bit was up must be woken to self-serve
-// — no release path is coming to drain it. The test manufactures the
-// held-clear→transfer-set window directly (a grant to A in flight, A not
-// yet resumed), parks a publisher against it, then abandons the grant.
+// cancellation path and queued Handle.Do callers: when a cancelled
+// waiter's in-flight grant is re-routed (abandon → regrantLocked), a Do
+// caller that queued its closure behind that grant — no holder is coming
+// to drain it — must receive the grant and run its own closure. The test
+// manufactures the held-clear→transfer-set window directly (a grant to A
+// in flight, A not yet resumed), queues a Do caller against it, then
+// abandons the grant.
 func TestAbandonGrantedWakesCombiners(t *testing.T) {
-	// Force a zero spin budget so the publisher parks on its wake channel
-	// immediately — the parked case is the one the wake-walk exists for.
+	// One P, so the queued Do caller is parked on its wake channel (not
+	// mid-spin) when the grant is re-routed.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	m := NewMutex(Options{Slice: 10 * time.Millisecond})
@@ -29,7 +29,7 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	// A has not taken the lock yet. This is exactly the state after
 	// transferLocked grants the head waiter, before the grantee resumes.
 	w := &waiter{h: a, wake: make(chan struct{}, 1)}
-	w.granted.Store(true)
+	w.state.Store(waitGranted)
 	m.lockMu()
 	m.next = w
 	m.mutate(func(x uint64) uint64 { return x | wordTransfer })
@@ -42,10 +42,10 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 		p.Do(func() { ran.Store(true) })
 		close(done)
 	}()
-	// Wait until the section is published; with a zero spin budget the
-	// publisher then parks (the transfer bit keeps it from withdrawing).
+	// Wait until the section is queued behind A's grant (the transfer bit
+	// made the caller bring its closure along); it then parks.
 	deadline := time.Now().Add(5 * time.Second)
-	for m.combine.Load() == nil {
+	for combineStackLen(m) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("publisher never published")
 		}
@@ -53,15 +53,15 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	}
 	time.Sleep(2 * time.Millisecond)
 
-	// The grantee abandons. regrantLocked finds nobody else to grant to
-	// and retires the transfer — the lock is now fully idle, and only the
-	// abandon path's wake-walk can unpark the publisher.
+	// The grantee abandons. regrantLocked hands the grant to the next
+	// queued waiter — the Do caller — which then runs its own closure as
+	// the holder.
 	m.abandon(w, monotime())
 
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do publisher wedged after an abandoned grant left the lock idle (missing wakeCombiners)")
+		t.Fatal("Do publisher wedged after its grant's first grantee abandoned it")
 	}
 	if !ran.Load() {
 		t.Fatal("published section never ran")
@@ -79,8 +79,8 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 // TestDoClosurePanicDoesNotWedge: a Do closure that panics (documented as
 // forbidden) must fail loudly, not wedge the lock. The drain re-raises
 // the panic scl-identified on the combiner's goroutine, resolves the
-// panicking publisher as done, bounces unexecuted batch-mates back to
-// the classic path (exactly-once preserved), and leaves the lock usable.
+// panicking publisher as done, puts unexecuted batch-mates back into the
+// waiter queue (exactly-once preserved), and leaves the lock usable.
 func TestDoClosurePanicDoesNotWedge(t *testing.T) {
 	m := NewMutex(Options{Slice: 10 * time.Millisecond})
 	holder := m.Register()
@@ -89,9 +89,9 @@ func TestDoClosurePanicDoesNotWedge(t *testing.T) {
 
 	holder.Lock()
 
-	// Publish the innocent section first, the panicking one second: the
-	// stack is LIFO, so the drain executes the bomber first and never
-	// reaches the innocent closure.
+	// Queue the innocent section first, the panicking one second: the
+	// drain takes the newest first, so it executes the bomber first and
+	// never reaches the innocent closure.
 	var innocentRuns atomic.Int32
 	innocentDone := make(chan struct{})
 	go func() {
@@ -123,7 +123,7 @@ func TestDoClosurePanicDoesNotWedge(t *testing.T) {
 	}()
 
 	// Both publishers must resolve: the bomber as executed, the innocent
-	// via its classic-path fallback (running exactly once).
+	// requeued and granted (running exactly once).
 	for name, ch := range map[string]chan struct{}{"bomber": bomberDone, "innocent": innocentDone} {
 		select {
 		case <-ch:
@@ -144,20 +144,16 @@ func TestDoClosurePanicDoesNotWedge(t *testing.T) {
 	}
 }
 
-// waitPublished polls until the combining stack holds n requests.
+// waitPublished polls until n waiters carrying a Do closure are queued.
 func waitPublished(t *testing.T, m *Mutex, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		count := 0
-		for r := m.combine.Load(); r != nil; r = r.next.Load() {
-			count++
-		}
-		if count >= n {
+		if combineStackLen(m) >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("combining stack never reached %d published sections", n)
+			t.Fatalf("waiter queue never reached %d Do closures", n)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -176,8 +172,13 @@ func TestRWDoClosurePanicDoesNotWedge(t *testing.T) {
 		l.Do(func() { panic("boom") })
 		close(done)
 	}()
+	queued := func() bool {
+		l.lockMu()
+		defer l.unlockMu()
+		return l.closureQueued()
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for l.wcombine.Load() == nil {
+	for !queued() {
 		if time.Now().After(deadline) {
 			t.Fatal("writer section never published")
 		}

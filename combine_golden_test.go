@@ -7,12 +7,16 @@ import (
 	"time"
 )
 
-// combineStackLen counts the requests currently published on the
-// combining stack (test-only; racy reads are fine for polling).
+// combineStackLen counts the queued waiters carrying a Handle.Do
+// closure (test-only, for polling).
 func combineStackLen(m *Mutex) int {
+	m.lockMu()
+	defer m.unlockMu()
 	n := 0
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
-		n++
+	for _, w := range append([]*waiter{m.next}, m.parked...) {
+		if w != nil && w.fn != nil {
+			n++
+		}
 	}
 	return n
 }
@@ -35,9 +39,9 @@ func TestCombineScriptedEventStream(t *testing.T) {
 	defer b.Close()
 	defer c.Close()
 
-	// Script: A holds the lock while B, then C, publish their critical
-	// sections. Publishing order is pinned by polling the stack between
-	// the two Do calls, so A's release drains the LIFO stack in the
+	// Script: A holds the lock while B, then C, queue their critical
+	// sections. Queueing order is pinned by polling the queue between
+	// the two Do calls, so A's release drains them newest first, in the
 	// deterministic order C, B.
 	a.Lock()
 	var wg sync.WaitGroup
@@ -54,7 +58,7 @@ func TestCombineScriptedEventStream(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for combineStackLen(m) < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("combining stack never reached %d requests", n)
+				t.Fatalf("waiter queue never reached %d Do closures", n)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}

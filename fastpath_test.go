@@ -159,7 +159,7 @@ func TestExpiredReleaseShutsOutFastSibling(t *testing.T) {
 	// Keep the slice timer from stale-marking the slice while A holds, so
 	// the slice ends at A's release rather than at the timer.
 	m.lockMu()
-	m.timer.Stop()
+	m.timer.t.Stop()
 	m.unlockMu()
 	granted := make(chan struct{})
 	go func() {

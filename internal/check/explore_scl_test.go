@@ -25,7 +25,7 @@ var (
 	seedFlag = flag.Int64("check.seed", 0,
 		"replay this schedule seed against the selected workload instead of exploring")
 	workloadFlag = flag.String("check.workload", "mutex-churn",
-		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, manager-churn, scenario")
+		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, rw-combine, manager-churn, scenario")
 	schedulesFlag = flag.Int("check.schedules", 0,
 		"override the exploration budget (number of schedules)")
 	scenarioFlag = flag.String("check.scenario", "",
@@ -62,6 +62,8 @@ func namedWorkload(t *testing.T, name string) check.Workload {
 		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
 	case "rw-shard":
 		return workloads.RWShardSweep(workloads.RWShardOpts{Seed: 1})
+	case "rw-combine":
+		return workloads.RWCombine(workloads.RWCombineOpts{Seed: 1})
 	case "manager-churn":
 		return workloads.ManagerChurn(workloads.ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
 	case "scenario":
@@ -154,11 +156,12 @@ func TestExploreMutexContend(t *testing.T) {
 }
 
 // TestExploreMutexCombine explores the combining protocol (Handle.Do)
-// across 10k+ distinct schedules: Do publishers race plain acquires,
-// release-time drains, ban rejections and the idle wake-walk through
-// the mu.combine.* decision sites, with mutual exclusion, exactly-once
-// execution, accounting conservation and a Do-latency bound asserted on
-// every schedule.
+// across 10k+ distinct schedules: queued closure waiters race plain
+// acquires, release-time drains, ban rejections and the return of
+// stranded closures to the classic path through the mu.combine.*
+// decision sites, with mutual exclusion, exactly-once execution,
+// accounting conservation and a Do-latency bound asserted on every
+// schedule.
 func TestExploreMutexCombine(t *testing.T) {
 	if *seedFlag != 0 {
 		t.Skip("replay handled by TestExploreMutexChurn")
@@ -183,8 +186,8 @@ func TestExploreMutexCombine(t *testing.T) {
 }
 
 // TestExploreMutexCombinePCT hunts depth-3 races in the combining
-// protocol (publish-vs-release, drain-vs-withdraw, handoff-vs-close)
-// with PCT priority schedules.
+// protocol (queue-vs-release, drain-vs-grant, handoff-vs-close) with PCT
+// priority schedules.
 func TestExploreMutexCombinePCT(t *testing.T) {
 	if *seedFlag != 0 {
 		t.Skip("replay handled by TestExploreMutexChurn")
@@ -199,6 +202,33 @@ func TestExploreMutexCombinePCT(t *testing.T) {
 		t.Fatalf("exploration failed:\n%v", sum.Failure)
 	}
 	t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+}
+
+// TestExploreMutexCombineSiblings runs the combining workload with two
+// sibling handles per entity, so a Do waiter of the slice owner's entity
+// can be picked by the intra-class handoff and run its own closure
+// inside its entity's live slice, while other closures drain around it.
+func TestExploreMutexCombineSiblings(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	w := workloads.MutexCombine(workloads.CombineOpts{Seed: 14, Siblings: 2})
+	n := 3000
+	want := 2500
+	if testing.Short() {
+		n, want = 600, 300
+	}
+	if *schedulesFlag > 0 {
+		n, want = *schedulesFlag, 0
+	}
+	sum := check.Explore(check.Opts{Schedules: n, Seed: 14, Mode: "random"}, w)
+	if sum.Failure != nil {
+		t.Fatalf("exploration failed:\n%v", sum.Failure)
+	}
+	t.Logf("%d runs, %d distinct schedules, %d total steps", sum.Runs, sum.Distinct, sum.Steps)
+	if sum.Distinct < want {
+		t.Fatalf("only %d distinct schedules in %d runs (want >= %d)", sum.Distinct, sum.Runs, want)
+	}
 }
 
 // TestExploreMutexCombineDFS enumerates a minimal two-entity combining
@@ -235,6 +265,35 @@ func TestExploreRWChurn(t *testing.T) {
 		t.Fatalf("exploration failed:\n%v", sum.Failure)
 	}
 	t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+}
+
+// TestExploreRWCombine explores writer-side combining (RWLock.Do)
+// across 10k+ distinct schedules: closure entries queued behind an
+// active writer race the release-time drain, ordinary write grants and
+// phase flips through the rw.combine.* decision sites, with reader/
+// writer exclusion, exactly-once execution, op conservation and a
+// writer-latency bound asserted on every schedule.
+func TestExploreRWCombine(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	w := workloads.RWCombine(workloads.RWCombineOpts{Seed: 15})
+	n := 11000
+	want := 10000
+	if testing.Short() {
+		n, want = 1200, 600
+	}
+	if *schedulesFlag > 0 {
+		n, want = *schedulesFlag, 0
+	}
+	sum := check.Explore(check.Opts{Schedules: n, Seed: 15, Mode: "random"}, w)
+	if sum.Failure != nil {
+		t.Fatalf("exploration failed:\n%v", sum.Failure)
+	}
+	t.Logf("%d runs, %d distinct schedules, %d total steps", sum.Runs, sum.Distinct, sum.Steps)
+	if sum.Distinct < want {
+		t.Fatalf("only %d distinct schedules in %d runs (want >= %d)", sum.Distinct, sum.Runs, want)
+	}
 }
 
 // TestExploreRWWriters runs two writers re-acquiring back to back with

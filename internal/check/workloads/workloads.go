@@ -263,20 +263,26 @@ type CombineOpts struct {
 	Slice time.Duration
 	// Seed derives each entity's deterministic op script.
 	Seed int64
+	// Siblings is the number of handles (one goroutine each) per entity
+	// (default 1). With more, a Do waiter of the slice owner's entity can
+	// take the intra-class handoff. Sibling 0 runs the script a
+	// one-handle entity would.
+	Siblings int
 }
 
 // MutexCombine targets the combining protocol (Handle.Do, combine.go):
 // entities run a deterministic mix of Do calls and plain acquires, so
-// published critical sections race classic queueing, release-time
-// drains, ban rejections and the idle wake-walk across every explored
+// queued closure waiters race classic queueing, release-time drains,
+// ban rejections and the return of stranded closures to the classic
+// path when a release leaves the lock idle, across every explored
 // interleaving of the mu.combine.* decision sites. On every schedule it
 // asserts:
 //
 //   - mutual exclusion: combined closures and plain critical sections
 //     share one holder counter, so a drain overlapping any hold fails;
-//   - exactly-once: each closure bumps its own (entity, op) cell,
-//     caught double-executed (combiner AND self-serve) or dropped at
-//     Validate;
+//   - exactly-once: each closure bumps its own (handle, op) cell,
+//     caught double-executed (combiner AND its own goroutine) or dropped
+//     at Validate;
 //   - conservation: full lock + accountant invariants after every op
 //     (combined usage must land on the publishing entity's books);
 //   - the opportunity-imbalance bound on every Do's total latency, so
@@ -292,23 +298,39 @@ func MutexCombine(o CombineOpts) check.Workload {
 	if o.Slice == 0 {
 		o.Slice = 2 * time.Millisecond
 	}
+	if o.Siblings <= 0 {
+		o.Siblings = 1
+	}
 	// Holds reach past the slice so drains interleave with bans; the
 	// latency bound mirrors MutexContend's, widened by the max hold.
 	maxHold := 3 * time.Millisecond
-	bound := time.Duration(6*o.Entities)*(o.Slice+maxHold) + maxHold
+	workers := o.Entities * o.Siblings
+	bound := time.Duration(6*workers)*(o.Slice+maxHold) + maxHold
 	var m *scl.Mutex
-	executed := make([][]int, o.Entities)
+	executed := make([][]int, workers)
 	return check.Workload{
 		Name: "mutex-combine",
 		Setup: func(s *check.Sched) {
 			m = scl.NewMutex(scl.Options{Slice: o.Slice})
 			held := new(int)
-			for e := 0; e < o.Entities; e++ {
-				e := e
-				executed[e] = make([]int, o.Ops)
-				rng := rand.New(rand.NewSource(o.Seed*1000033 + int64(e)))
-				h := m.Register()
-				s.Go(fmt.Sprintf("e%d", e), func() {
+			var first *scl.Handle // the current entity's sibling-0 handle
+			for w := 0; w < workers; w++ {
+				w := w
+				e, sib := w/o.Siblings, w%o.Siblings
+				executed[w] = make([]int, o.Ops)
+				seed := o.Seed*1000033 + int64(e)
+				name := fmt.Sprintf("e%d", e)
+				var h *scl.Handle
+				if sib == 0 {
+					h = m.Register()
+					first = h
+				} else {
+					seed += int64(sib) * 7919
+					name += fmt.Sprintf(".s%d", sib)
+					h = first.Sibling()
+				}
+				rng := rand.New(rand.NewSource(seed))
+				s.Go(name, func() {
 					for i := 0; i < o.Ops; i++ {
 						i := i
 						hold := time.Duration(50+rng.Intn(int(maxHold/time.Microsecond)-50)) * time.Microsecond
@@ -320,7 +342,7 @@ func MutexCombine(o CombineOpts) check.Workload {
 							}
 							check.Sleep(hold)
 							*held--
-							executed[e][i]++
+							executed[w][i]++
 						}
 						t0, _ := check.Now()
 						if rng.Intn(3) == 0 {
@@ -350,11 +372,16 @@ func MutexCombine(o CombineOpts) check.Workload {
 			if err := m.CheckInvariants(); err != nil {
 				return err
 			}
-			for e, ops := range executed {
+			for w, ops := range executed {
 				for i, n := range ops {
-					if n != 1 {
-						return fmt.Errorf("entity %d op %d executed %d times (want exactly once)", e, i, n)
+					if n == 1 {
+						continue
 					}
+					who := fmt.Sprintf("entity %d", w/o.Siblings)
+					if o.Siblings > 1 {
+						who += fmt.Sprintf(" sibling %d", w%o.Siblings)
+					}
+					return fmt.Errorf("%s op %d executed %d times (want exactly once)", who, i, n)
 				}
 			}
 			if n := m.Entities(); n != 0 {
@@ -590,6 +617,146 @@ func RWChurn(o RWOpts) check.Workload {
 			}
 		},
 		Validate: func() error { return l.CheckInvariants() },
+	}
+}
+
+// RWCombineOpts configures the RWLock.Do combining workload.
+type RWCombineOpts struct {
+	// Readers is the number of reader goroutines (default 2).
+	Readers int
+	// Writers is the number of writer goroutines (default 3).
+	Writers int
+	// Ops is the number of scripted operations per goroutine (default 3).
+	Ops int
+	// Period is the RW slice period (default 2ms).
+	Period time.Duration
+	// Seed derives each goroutine's deterministic op script.
+	Seed int64
+}
+
+// RWCombine targets writer-side combining (RWLock.Do, combine.go):
+// writers run a deterministic mix of Do calls and plain WLock sections
+// beside readers, so closure entries queued behind an active writer race
+// the release-time drain, ordinary write grants and phase flips across
+// every explored interleaving of the rw.combine.* decision sites. On
+// every schedule it asserts:
+//
+//   - reader/writer and closure exclusion: combined closures, plain
+//     write sections and reads share one pair of counters;
+//   - exactly-once: each writer op bumps its own (writer, op) cell,
+//     caught double-executed (drained AND run by its own goroutine) or
+//     dropped at Validate;
+//   - conservation: CheckInvariants after every op, and the lock's
+//     reader and writer op counts equal the scripts' at Validate;
+//   - a latency bound on every writer op, so a queued closure nobody
+//     drains or grants fails the schedule even while others progress.
+func RWCombine(o RWCombineOpts) check.Workload {
+	if o.Readers <= 0 {
+		o.Readers = 2
+	}
+	if o.Writers <= 0 {
+		o.Writers = 3
+	}
+	if o.Ops <= 0 {
+		o.Ops = 3
+	}
+	if o.Period == 0 {
+		o.Period = 2 * time.Millisecond
+	}
+	maxHold := time.Millisecond
+	bound := time.Duration(6*(o.Readers+o.Writers)) * (o.Period + maxHold)
+	var l *scl.RWLock
+	executed := make([][]int, o.Writers)
+	return check.Workload{
+		Name: "rw-combine",
+		Setup: func(s *check.Sched) {
+			l = scl.NewRWLock(1, 1, o.Period)
+			readers := new(int)
+			writers := new(int)
+			enter := func(write bool) {
+				if write {
+					*writers++
+				} else {
+					*readers++
+				}
+				if *writers > 1 || *writers == 1 && *readers > 0 {
+					s.Failf("exclusion violated: %d writers, %d readers", *writers, *readers)
+				}
+			}
+			exit := func(write bool) {
+				if write {
+					*writers--
+				} else {
+					*readers--
+				}
+			}
+			spawn := func(name string, e int, write bool) {
+				rng := rand.New(rand.NewSource(o.Seed*1000037 + int64(e)))
+				s.Go(name, func() {
+					for i := 0; i < o.Ops; i++ {
+						i := i
+						hold := time.Duration(20+rng.Intn(int(maxHold/time.Microsecond)-20)) * time.Microsecond
+						think := time.Duration(rng.Intn(1000)) * time.Microsecond
+						section := func() {
+							enter(write)
+							check.Sleep(hold)
+							exit(write)
+						}
+						t0, _ := check.Now()
+						switch {
+						case !write:
+							l.RLock()
+							section()
+							l.RUnlock()
+						case rng.Intn(3) == 0:
+							l.WLock()
+							section()
+							executed[e-o.Readers][i]++
+							l.WUnlock()
+						default:
+							l.Do(func() {
+								section()
+								executed[e-o.Readers][i]++
+							})
+						}
+						if t1, _ := check.Now(); write && t1-t0 > bound {
+							s.Failf("writer op %d took %v (bound %v)", i, t1-t0, bound)
+						}
+						if err := l.CheckInvariants(); err != nil {
+							s.Failf("invariants broken after op %d: %v", i, err)
+						}
+						check.Sleep(think)
+					}
+				})
+			}
+			for r := 0; r < o.Readers; r++ {
+				spawn(fmt.Sprintf("r%d", r), r, false)
+			}
+			for w := 0; w < o.Writers; w++ {
+				executed[w] = make([]int, o.Ops)
+				spawn(fmt.Sprintf("w%d", w), o.Readers+w, true)
+			}
+		},
+		Validate: func() error {
+			if err := l.CheckInvariants(); err != nil {
+				return err
+			}
+			for w, ops := range executed {
+				for i, n := range ops {
+					if n != 1 {
+						return fmt.Errorf("writer %d op %d executed %d times (want exactly once)", w, i, n)
+					}
+				}
+			}
+			st := l.Stats()
+			if want := int64(o.Readers * o.Ops); st.ReaderOps != want {
+				return fmt.Errorf("reader op conservation broken: lock counted %d, want %d", st.ReaderOps, want)
+			}
+			if want := int64(o.Writers * o.Ops); st.WriterOps != want {
+				return fmt.Errorf("writer op conservation broken: lock counted %d, want %d", st.WriterOps, want)
+			}
+			return nil
+		},
 	}
 }
 

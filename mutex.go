@@ -50,11 +50,6 @@ type Mutex struct {
 	word atomic.Uint64
 	// fastOps counts fast-path acquisitions since the last fold.
 	fastOps atomic.Int64
-	// combine is the lock-free combining stack (Handle.Do): contended Do
-	// callers push their critical sections here instead of queueing, and
-	// the releasing holder drains a bounded batch (combine.go). Pushes are
-	// lock-free; pops happen only under mu.
-	combine atomic.Pointer[combineReq]
 
 	// csStart and fastHeld are owned by the current lock holder (ordered
 	// across holders by the word CASes): whether the live hold was taken
@@ -64,19 +59,18 @@ type Mutex struct {
 
 	mu        sync.Mutex // guards all fields below
 	acct      *core.Accountant
-	draining  []*combineReq   // batch a drain is executing outside mu
+	draining  []*waiter       // closure waiters a drain is executing outside mu
 	refs      map[core.ID]int // handles sharing each entity (Sibling)
 	nextReap  time.Duration   // earliest next inactive-entity sweep
 	fastSince time.Duration   // start of the open fast window (-1: none)
-	next      *waiter
-	parked    []*waiter
-	// One reusable timer drives slice-end processing (stale-marking a
-	// fast-path owner, transferring to waiters, clearing an abandoned
-	// slice); re-arming per operation would spawn a goroutine per firing.
-	// Behind the lockTimer seam it is a virtual-clock timer under the
-	// deterministic checker, a time.AfterFunc timer otherwise.
-	timer   lockTimer
-	timerAt time.Duration // absolute arm target; avoids redundant resets
+	// The waiter queue: the head (next-thread) slot plus the parked rest,
+	// oldest first. Handle.Do callers queue here too, as waiters carrying
+	// their closure (combine.go).
+	next   *waiter
+	parked []*waiter
+	// timer drives slice-end processing (stale-marking a fast-path owner,
+	// transferring to waiters, clearing an abandoned slice).
+	timer sliceTimer
 
 	stats lockStats
 }
@@ -92,13 +86,23 @@ const (
 
 func ownerBits(id core.ID) uint64 { return (uint64(id) + 1) & wordOwner }
 
-// waiter is one queued Lock call.
+// waiter is one queued Lock or Handle.Do call.
 type waiter struct {
-	h       *Handle
-	granted atomic.Bool
-	intra   bool          // intra-class handoff: the slice continues
-	wake    chan struct{} // buffered(1): at most one pending signal
+	h     *Handle
+	state atomic.Int32  // waitQueued until a grant or a drain resolves it
+	intra bool          // intra-class handoff: the slice continues
+	wake  chan struct{} // buffered(1): at most one pending signal
+	reqAt time.Duration // start of the acquire, for wait-time stats
+	fn    func()        // Handle.Do's closure, for a releasing holder to run (nil: Lock)
 }
+
+// Waiter states. A queued waiter is resolved exactly once, under m.mu.
+const (
+	waitQueued   = int32(iota)
+	waitGranted  // the waiter owns the lock (or a grant to it is in flight)
+	waitRan      // a releasing holder ran the waiter's closure (Handle.Do)
+	waitRejected // a closure waiter returned to the classic path (combine.go)
+)
 
 // NewMutex creates a Scheduler-Cooperative mutex. Any extra Options
 // (e.g. WithInactiveGC) are applied on top of opts.
@@ -118,6 +122,7 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 		}),
 	}
 	m.fastSince = -1
+	m.timer.fire = m.onSliceTimer
 	m.tracer.set(opts.Tracer)
 	m.stats.init()
 	return m
@@ -196,7 +201,7 @@ func (h *Handle) Close() {
 	delete(m.refs, h.id)
 	now := monotime()
 	m.fold(now)
-	inFlight := m.acct.Holding(h.id) || m.entityQueued(h.id) || m.entityCombining(h.id)
+	inFlight := m.acct.Holding(h.id) || m.entityQueued(h.id)
 	if w := m.word.Load(); !inFlight && w&wordHeld != 0 && w&wordOwner == ownerBits(h.id) {
 		// A fast-path hold is in flight (deferred accounting, so the
 		// accountant does not see it). Shut it out with the stale bit —
@@ -239,8 +244,7 @@ func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
 	if _, open := m.refs[id]; open {
 		return
 	}
-	if !m.acct.Registered(id) || m.acct.Holding(id) || m.entityQueued(id) ||
-		m.entityCombining(id) {
+	if !m.acct.Registered(id) || m.acct.Holding(id) || m.entityQueued(id) {
 		return
 	}
 	ownedSlice := false
@@ -260,31 +264,36 @@ func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
 	}
 }
 
-// entityQueued reports whether any waiter of entity id is queued. m.mu held.
+// entityQueued reports whether any waiter of entity id is queued, or has
+// its closure executing in a drain. m.mu held.
 func (m *Mutex) entityQueued(id core.ID) bool {
 	if m.next != nil && m.next.h.id == id {
 		return true
 	}
-	for _, w := range m.parked {
-		if w.h.id == id {
-			return true
+	for _, q := range [2][]*waiter{m.parked, m.draining} {
+		for _, w := range q {
+			if w.h.id == id {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// queuedIDs collects the entity IDs currently in the waiter queue (nil
-// when the queue is empty). m.mu held.
+// queuedIDs collects the entity IDs entityQueued reports (nil when there
+// are none). m.mu held.
 func (m *Mutex) queuedIDs() map[core.ID]struct{} {
-	if m.next == nil && len(m.parked) == 0 {
+	if m.next == nil && len(m.parked) == 0 && len(m.draining) == 0 {
 		return nil
 	}
-	q := make(map[core.ID]struct{}, len(m.parked)+1)
+	q := make(map[core.ID]struct{}, len(m.parked)+len(m.draining)+1)
 	if m.next != nil {
 		q[m.next.h.id] = struct{}{}
 	}
-	for _, w := range m.parked {
-		q[w.h.id] = struct{}{}
+	for _, l := range [2][]*waiter{m.parked, m.draining} {
+		for _, w := range l {
+			q[w.h.id] = struct{}{}
+		}
 	}
 	return q
 }
@@ -307,12 +316,8 @@ func (m *Mutex) maybeReap(now time.Duration) {
 	m.nextReap = now + m.opts.InactiveTimeout/4
 	queued := m.queuedIDs()
 	reaped := m.acct.ExpireInactive(now, func(id core.ID) bool {
-		if _, ok := queued[id]; ok {
-			return true
-		}
-		// A published-but-unexecuted critical section (Handle.Do) is an
-		// operation in flight: reaping its entity would strand the charge.
-		return m.entityCombining(id)
+		_, ok := queued[id]
+		return ok
 	})
 	for _, r := range reaped {
 		delete(m.refs, r.ID)
@@ -398,18 +403,13 @@ func (m *Mutex) fastLock(h *Handle) bool {
 }
 
 // fastUnlock releases a fast-path hold: one CAS, provided no waiter
-// queued meanwhile (waiters need the slow path's handoff logic) and the
-// slice was not marked stale by the timer. All holder-owned bookkeeping
+// queued meanwhile (waiters need the slow path's handoff logic, and
+// queued Handle.Do closures its drain) and the slice was not marked
+// stale by the timer. All holder-owned bookkeeping
 // (csStart, fastHeld) happens before the release CAS — after it the next
 // holder owns those fields.
 func (m *Mutex) fastUnlock(h *Handle) bool {
 	if !m.fastHeld {
-		return false
-	}
-	if m.combine.Load() != nil {
-		// Published critical sections are waiting (Handle.Do): decline so
-		// the slow release drains them while the held bit still provides
-		// mutual exclusion.
 		return false
 	}
 	traced := m.tracer.on()
@@ -429,11 +429,6 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 	if traced {
 		m.tracer.emit(trace.KindRelease, now, int64(h.id), h.name, hold)
 	}
-	// A publish that raced the release CAS would otherwise park with
-	// nobody coming to drain it; wake-walk so it observes the free lock.
-	if m.combine.Load() != nil {
-		m.wakeCombiners()
-	}
 	return true
 }
 
@@ -445,7 +440,7 @@ func (h *Handle) Lock() {
 	if m.fastLock(h) {
 		return
 	}
-	m.lockSlow(h, nil)
+	m.lockSlow(h, nil, nil)
 }
 
 // LockContext acquires the mutex like Lock, but gives up when ctx is
@@ -466,28 +461,76 @@ func (h *Handle) LockContext(ctx context.Context) error {
 	if m.fastLock(h) {
 		return nil
 	}
-	return m.lockSlow(h, ctx)
+	_, err := m.lockSlow(h, ctx, nil)
+	return err
 }
 
-// lockSlow is the shared slow path of Lock (ctx == nil: uncancellable)
-// and LockContext.
-func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
+// lockSlow is the shared slow path of Lock (ctx == nil: uncancellable),
+// LockContext and Handle.Do (fn != nil). It returns holding the lock,
+// except when a releasing holder ran fn on the caller's behalf (ran).
+func (m *Mutex) lockSlow(h *Handle, ctx context.Context, fn func()) (ran bool, err error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	reqAt := time.Duration(-1) // first clock read inside the loop
+	reqAt := time.Duration(-1) // first clock read inside serveBan
 	check.Point("mu.lockslow")
+	for {
+		banned, ok := m.serveBan(h, done, &reqAt)
+		if !ok {
+			return false, ctx.Err()
+		}
+		if banned {
+			fn = nil // a banned Do continues on the classic path
+		}
+		// Uncontended path: we own the live slice, or the lock is wholly
+		// free. setHeldLocked can lose only to a fast-path sibling; then we
+		// queue like anyone else and its release hands the slice over.
+		now := monotime()
+		if m.word.Load()&(wordHeld|wordTransfer) == 0 && m.fastEligible(h, now) && m.setHeldLocked() {
+			m.acquireLocked(h, now, reqAt)
+			m.unlockMu()
+			return false, nil
+		}
+		// Slow path: queue. A Do caller behind a holder (or an in-flight
+		// grant) brings its closure along for that holder's release to run.
+		w := &waiter{h: h, wake: make(chan struct{}, 1), reqAt: reqAt}
+		if fn != nil && m.word.Load()&(wordHeld|wordTransfer) != 0 {
+			w.fn = fn
+		}
+		head := m.enqueue(w)
+		m.unlockMu()
+		if !w.await(done, head) {
+			m.abandon(w, reqAt)
+			return false, ctx.Err()
+		}
+		switch w.state.Load() {
+		case waitRan:
+			return true, nil
+		case waitRejected:
+			fn = nil // returned to the classic path (combine.go)
+			continue
+		}
+		m.takeGrant(w, reqAt)
+		return false, nil
+	}
+}
+
+// serveBan sleeps out h's ban, if any (banned), and returns holding
+// m.mu. It returns !ok, without m.mu, when done fires first (the
+// abandonment is recorded). *reqAt is set by the first clock read.
+func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) (banned, ok bool) {
 	for {
 		m.lockMu()
 		now := monotime()
-		if reqAt < 0 {
-			reqAt = now
+		if *reqAt < 0 {
+			*reqAt = now
 		}
 		until := m.acct.BannedUntil(h.id)
 		if until <= now {
-			break // proceed, still holding m.mu
+			return banned, true
 		}
+		banned = true
 		m.unlockMu()
 		if done == nil {
 			if !check.Sleep(until - now) {
@@ -499,8 +542,8 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 		// the ban only makes an uncancellable wait longer.
 		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
 			if cancelled {
-				m.noteAbandon(h, reqAt)
-				return ctx.Err()
+				m.noteAbandon(h, *reqAt)
+				return banned, false
 			}
 			continue
 		}
@@ -509,21 +552,17 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 		case <-t.C:
 		case <-done:
 			t.Stop()
-			m.noteAbandon(h, reqAt)
-			return ctx.Err()
+			m.noteAbandon(h, *reqAt)
+			return banned, false
 		}
 	}
-	// Uncontended path: we own the live slice, or the lock is wholly
-	// free. setHeldLocked can lose only to a fast-path sibling; then we
-	// queue like anyone else and its release hands the slice over.
-	now := monotime()
-	if m.word.Load()&(wordHeld|wordTransfer) == 0 && m.fastEligible(h, now) && m.setHeldLocked() {
-		m.acquireLocked(h, now, reqAt)
-		m.unlockMu()
-		return nil
-	}
-	// Slow path: queue.
-	w := &waiter{h: h, wake: make(chan struct{}, 1)}
+}
+
+// enqueue appends w to the waiter queue and raises the waiters bit,
+// reporting whether w took the head slot. A closure waiter needs no
+// slice-end timer: it queues behind a holder (or a grant in flight)
+// whose release drains, grants or rejects it. m.mu held.
+func (m *Mutex) enqueue(w *waiter) bool {
 	head := m.next == nil
 	if head {
 		m.next = w
@@ -531,24 +570,23 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 		m.parked = append(m.parked, w)
 	}
 	m.mutate(func(x uint64) uint64 { return x | wordWaiters })
-	if head {
+	if head && w.fn == nil {
 		m.armSliceEnd()
 	}
-	m.unlockMu()
-	if !w.await(done, head) {
-		m.abandon(w, reqAt)
-		return ctx.Err()
-	}
-	// Granted: finalize ownership.
+	return head
+}
+
+// takeGrant finalizes ownership for a granted waiter.
+func (m *Mutex) takeGrant(w *waiter, reqAt time.Duration) {
 	check.Point("mu.granted")
 	m.lockMu()
-	now = monotime()
+	now := monotime()
 	if m.next == w {
 		m.next = nil
 	}
 	if !w.intra {
 		// A slice transfer; an intra-class handoff keeps the running slice.
-		m.startSlice(h.id, now)
+		m.startSlice(w.h.id, now)
 	}
 	m.promoteHead()
 	// Take the lock and retire the grant in one step: the transfer bit
@@ -557,9 +595,8 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	m.mutate(func(x uint64) uint64 { return (x | wordHeld) &^ wordTransfer })
 	m.syncWaitersBit()
 	m.armSliceEnd() // the transfer bit suppressed arming in startSlice
-	m.acquireLocked(h, now, reqAt)
+	m.acquireLocked(w.h, now, reqAt)
 	m.unlockMu()
-	return nil
 }
 
 // abandon resolves a cancelled waiter under m.mu. A grant that raced with
@@ -572,13 +609,8 @@ func (m *Mutex) abandon(w *waiter, reqAt time.Duration) {
 	check.Point("mu.abandon")
 	m.lockMu()
 	defer m.unlockMu()
-	// A regrant below can retire the transfer with nobody left to grant
-	// to, leaving the word fully idle: publishers (Handle.Do) that parked
-	// while the transfer bit was up must be woken to self-serve, exactly
-	// as on the release paths. No-op unless the word actually went idle.
-	defer m.wakeCombiners()
 	now := monotime()
-	granted := w.granted.Load() // stable under m.mu: grants happen under it
+	granted := w.state.Load() == waitGranted // stable under m.mu: grants happen under it
 	if m.next == w {
 		m.next = nil
 		m.promoteHead()
@@ -600,8 +632,9 @@ func (m *Mutex) abandon(w *waiter, reqAt time.Duration) {
 
 // regrantLocked re-routes an in-flight grant whose grantee w abandoned:
 // the transfer bit is up, so no fast path can interfere until the grant is
-// either passed on or retired. m.mu held; w is already detached from the
-// queue.
+// either passed on or retired. The next grantee may be a queued Handle.Do
+// caller; like any waiter it takes the lock, then runs its own closure.
+// m.mu held; w is already detached from the queue.
 func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 	check.Point("mu.regrant")
 	if w.intra {
@@ -794,13 +827,13 @@ func (m *Mutex) fold(now time.Duration) {
 	m.stats.fold(int64(owner), window, ops, now)
 }
 
-// await blocks until the waiter is granted (true) or done fires first
+// await blocks until the waiter is resolved (true) or done fires first
 // (false; done == nil never fires). The queue head spins briefly
 // (next-thread prefetch) before sleeping; others sleep immediately. A
 // false return does not mean the grant cannot still land — the caller must
 // resolve the race under m.mu (see abandon).
 func (w *waiter) await(done <-chan struct{}, head bool) bool {
-	if ok, handled := check.WaitOrDone("mu.await", w.granted.Load, done); handled {
+	if ok, handled := check.WaitOrDone("mu.await", w.resolved, done); handled {
 		// Deterministic checker: the scheduler wakes us on grant or
 		// cancellation directly; the spin/futex machinery below is real-
 		// runtime plumbing with no scheduling decisions of its own.
@@ -808,13 +841,13 @@ func (w *waiter) await(done <-chan struct{}, head bool) bool {
 	}
 	if head {
 		for i := 0; i < 64; i++ {
-			if w.granted.Load() {
+			if w.resolved() {
 				return true
 			}
 			runtime.Gosched()
 		}
 	}
-	for !w.granted.Load() {
+	for !w.resolved() {
 		if done == nil {
 			<-w.wake
 			continue
@@ -828,14 +861,20 @@ func (w *waiter) await(done <-chan struct{}, head bool) bool {
 	return true
 }
 
-// grant hands ownership to the waiter. m.mu held.
-func (w *waiter) grant() {
-	w.granted.Store(true)
+// resolved reports whether a grant or a drain has resolved the waiter.
+func (w *waiter) resolved() bool { return w.state.Load() != waitQueued }
+
+// resolve settles the waiter in state s and wakes it. m.mu held.
+func (w *waiter) resolve(s int32) {
+	w.state.Store(s)
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
 }
+
+// grant hands ownership to the waiter. m.mu held.
+func (w *waiter) grant() { w.resolve(waitGranted) }
 
 // promoteHead moves the head of the parked queue into the next-thread
 // slot and wakes it so it starts spinning (paper Figure 3 step 8).
@@ -878,16 +917,12 @@ func (h *Handle) Unlock() {
 }
 
 // unlockSlow is the full release: fold, the holder's accounting release,
-// a drain of any published critical sections (Handle.Do) while the held
-// bit still provides mutual exclusion, and the slice boundary.
+// a drain of queued Handle.Do closures while the held bit still provides
+// mutual exclusion, and the slice boundary.
 func (m *Mutex) unlockSlow(h *Handle) {
 	check.Point("mu.unlock.slow")
 	m.lockMu()
 	defer m.unlockMu()
-	// Publishers still pending when the lock goes idle must be woken to
-	// self-serve; runs before unlockMu (harmless — it only reads atomics
-	// and sends non-blocking signals) on every exit path below.
-	defer m.wakeCombiners()
 	if m.word.Load()&wordHeld == 0 {
 		panic("scl: Unlock of unlocked Mutex")
 	}
@@ -911,10 +946,10 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		m.stats.onRelease(int64(h.id), now)
 	}
 	m.tracer.emit(trace.KindRelease, now, int64(h.id), h.name, rel.Hold)
-	if m.combine.Load() != nil {
-		// Execute published critical sections before surrendering the held
-		// bit: the holder's own hold (measured above) never includes the
-		// drain, and each closure is charged to its publishing entity.
+	if m.closureQueued() {
+		// Run queued Do closures before surrendering the held bit: the
+		// holder's own hold (measured above) never includes the drain, and
+		// each closure is charged to its own entity.
 		now = m.drainCombine(h, now)
 	}
 	_, open := m.refs[h.id]
@@ -972,6 +1007,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 			m.fastSince = now
 		}
 		m.armSliceEnd()
+		m.rejectStranded()
 		return
 	}
 	m.maybeReap(now)
@@ -1007,7 +1043,9 @@ func (m *Mutex) transferLocked(now time.Duration) {
 	if m.word.Load()&wordTransfer != 0 {
 		return
 	}
-	m.debugCheckCombineQuiet()
+	if debugChecks && m.draining != nil {
+		debugFail("slice boundary while a drain is executing closures")
+	}
 	m.fold(now)
 	m.fastSince = -1
 	if m.next == nil {
@@ -1066,20 +1104,7 @@ func (m *Mutex) armSliceEnd() {
 	if !m.fastOK && m.next == nil {
 		return
 	}
-	end := m.acct.SliceEnd()
-	if m.timerAt == end {
-		return // already armed for this slice end
-	}
-	m.timerAt = end
-	delay := end - monotime()
-	if delay < 0 {
-		delay = 0
-	}
-	if m.timer == nil {
-		m.timer = startLockTimer(delay, m.onSliceTimer)
-		return
-	}
-	m.timer.Reset(delay)
+	m.timer.arm(m.acct.SliceEnd())
 }
 
 // onSliceTimer runs the slice boundary when the slice end passes outside
@@ -1090,7 +1115,7 @@ func (m *Mutex) onSliceTimer() {
 	check.Point("mu.slicetimer")
 	m.lockMu()
 	defer m.unlockMu()
-	m.timerAt = -1 // consumed; the next armSliceEnd must re-arm
+	m.timer.fired()
 	now := monotime()
 	m.maybeReap(now)
 	owner, ok := m.acct.SliceOwner()
@@ -1181,16 +1206,9 @@ func (m *Mutex) CheckInvariants() error {
 	if m.next == nil && len(m.parked) > 0 {
 		return fmt.Errorf("scl: %d parked waiters with an empty next slot", len(m.parked))
 	}
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
-		s := r.state.Load()
-		if s < combinePending || s > combineDone {
-			return fmt.Errorf("scl: combining request of entity %d in impossible state %d", r.h.id, s)
-		}
-		// A claimed request means a drain is executing it right now, which
-		// can only happen while the combiner still owns the held bit.
-		if s == combineClaimed && m.word.Load()&wordHeld == 0 {
-			return fmt.Errorf("scl: claimed combining request of entity %d with the lock unheld", r.h.id)
-		}
+	// A drain executes closures only while its combiner owns the held bit.
+	if len(m.draining) > 0 && m.word.Load()&wordHeld == 0 {
+		return fmt.Errorf("scl: %d closures executing in a drain with the lock unheld", len(m.draining))
 	}
 	return nil
 }

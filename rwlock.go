@@ -73,13 +73,8 @@ type RWLock struct {
 	inactive   time.Duration
 	emptySince time.Duration
 
-	// One reusable timer drives phase-end re-evaluation; re-arming per
-	// operation would spawn a goroutine per firing (time.AfterFunc), which
-	// dominates runtime under load. Behind the lockTimer seam it is a
-	// virtual-clock timer under the deterministic checker.
-	timer      lockTimer
-	timerAt    time.Duration // absolute arm target; avoids redundant resets
-	phaseFresh bool          // no acquisition has landed yet in this slice
+	timer      sliceTimer // drives phase-end re-evaluation
+	phaseFresh bool       // no acquisition has landed yet in this slice
 
 	// Usage integrals, Σ individual holds = ∫ holders(t) dt per class:
 	// every slow-path operation charges the interval since the previous
@@ -105,12 +100,8 @@ type RWLock struct {
 	readerCancels atomic.Int64
 	writerCancels atomic.Int64
 
-	// wcombine is the writer-side combining stack (RWLock.Do): a Treiber
-	// LIFO of published critical sections the active writer drains on its
-	// way out (rwcombine.go). Pushes are lock-free; pops happen under mu.
-	wcombine atomic.Pointer[rwCombineReq]
-	// writerCombines counts closures executed through the combining path
-	// (they are also included in writerOps).
+	// writerCombines counts RWLock.Do closures a draining writer executed
+	// (combine.go); they are also included in writerOps.
 	writerCombines atomic.Int64
 
 	// tracing state (slow path only — tracing disables the fast path):
@@ -227,7 +218,7 @@ func (l *RWLock) releaseReaderLocked(sum int64, now time.Duration) {
 	best.count.Add(-1)
 }
 
-// rwWaiter is one queued RLock or WLock call.
+// rwWaiter is one queued RLock, WLock or RWLock.Do call.
 type rwWaiter struct {
 	ch    chan struct{}
 	since time.Duration
@@ -235,6 +226,13 @@ type rwWaiter struct {
 	// recorded at enqueue on the waiter's own goroutine, so its later
 	// fast RUnlock finds its own shard positive.
 	shard int
+	do    *rwDo // an RWLock.Do closure the active writer may run (nil: WLock)
+}
+
+// rwDo is an RWLock.Do closure riding on a queued writer entry.
+type rwDo struct {
+	fn  func()
+	ran bool // set by a draining writer before its send on the entry's channel
 }
 
 // rwQueueKeep is the combined waiter-slab capacity an RWLock keeps even
@@ -269,6 +267,7 @@ func NewRWLock(readWeight, writeWeight int64, period time.Duration, opts ...Opti
 		phaseStart: now,
 	}
 	l.lastAt.Store(int64(now))
+	l.timer.fire = l.onPhaseTimer
 	l.tracer.set(o.Tracer)
 	return l
 }
@@ -444,26 +443,19 @@ func (l *RWLock) fastWLock(now time.Duration) bool {
 	}
 }
 
-// fastWUnlock mirrors fastWLock for release. A non-empty combining stack
-// forces the slow path, whose release drains it; a publish that lands
-// after the CAS is covered by the post-release wake-walk (the publisher
-// observes the cleared writer-active bit and self-serves).
+// fastWUnlock mirrors fastWLock for release. Any queued waiter — an
+// RWLock.Do closure included — forces the slow path, whose release
+// drains or grants it.
 func (l *RWLock) fastWUnlock(now time.Duration) bool {
 	for {
 		w := l.word.Load()
 		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.on() {
 			return false
 		}
-		if l.wcombine.Load() != nil {
-			return false
-		}
 		check.Point("rw.fast.wunlock")
 		if l.word.CompareAndSwap(w, w&^rwWActive) {
 			l.charge(0, true, now)
 			l.lastFast.Store(int64(now))
-			if l.wcombine.Load() != nil {
-				l.wakeWCombiners()
-			}
 			return true
 		}
 	}
@@ -588,7 +580,7 @@ func (l *RWLock) WLock() {
 	if l.fastWLock(monotime()) {
 		return
 	}
-	if ch, _ := l.wlockSlow(); ch != nil {
+	if ch, _ := l.wlockSlow(nil); ch != nil {
 		if !check.WaitChan("rw.wwait", ch) {
 			<-ch // granted: writer-active already set by the granter
 		}
@@ -605,7 +597,7 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 	if l.fastWLock(monotime()) {
 		return nil
 	}
-	ch, since := l.wlockSlow()
+	ch, since := l.wlockSlow(nil)
 	if ch == nil {
 		return nil
 	}
@@ -626,8 +618,10 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 }
 
 // wlockSlow runs the exclusive acquire under l.mu: either inline (nil
-// channel) or queued (the grant channel, plus the enqueue time).
-func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
+// channel) or queued (the grant channel, plus the enqueue time). An
+// RWLock.Do caller (do != nil) queued behind an active writer brings its
+// closure along for that writer's release to run.
+func (l *RWLock) wlockSlow(do *rwDo) (chan struct{}, time.Duration) {
 	check.Point("rw.wlock.slow")
 	l.lockMu()
 	now := monotime()
@@ -648,7 +642,11 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 		return nil, now
 	}
 	ch := make(chan struct{}, 1)
-	l.waitW = append(l.waitW, rwWaiter{ch: ch, since: now})
+	wt := rwWaiter{ch: ch, since: now}
+	if w&rwWActive != 0 {
+		wt.do = do
+	}
+	l.waitW = append(l.waitW, wt)
 	w = l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
 	if write && w&rwWActive == 0 && l.readerSum() == 0 {
 		// The holder that made this writer queue left on a fast path
@@ -693,10 +691,6 @@ func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64
 	}
 	l.noteAbandonLocked(entity, now, now-since)
 	l.advanceLocked(now)
-	// The writer branch cleared writer-active without a drain; wake any
-	// pending Do publishers so they withdraw to the classic path (no-op
-	// unless the bit is actually clear — advance may have re-granted).
-	l.wakeWCombiners()
 }
 
 // noteAbandonLocked lands a cancellation in the class counters and the
@@ -729,17 +723,16 @@ func (l *RWLock) WUnlock() {
 	}
 	l.charge(0, true, now)
 	l.tracer.emit(trace.KindRelease, now, trace.EntityWriters, "", now-l.wStart)
-	if l.wcombine.Load() != nil {
-		// Drain published writer sections while the writer-active bit is
-		// still ours: the closures run under full exclusion, and the
-		// follow-up charge books the drain interval as writer hold.
+	if l.closureQueued() {
+		// Run queued Do closures while the writer-active bit is still ours:
+		// they run under full exclusion, and the follow-up charge books the
+		// drain interval as writer hold.
 		now = l.drainWCombine(now)
 		l.charge(0, true, now)
 	}
 	l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
 	l.advanceLocked(now)
 	l.unlockMu()
-	l.wakeWCombiners()
 }
 
 // creditFastActivity replays the slice-clock restarts that fast-path
@@ -928,23 +921,9 @@ func (l *RWLock) armPhaseTimer() {
 	} else {
 		otherWaits = len(l.waitR) > 0
 	}
-	if !otherWaits {
-		return
+	if otherWaits {
+		l.timer.arm(l.ctrl.PhaseEnd())
 	}
-	end := l.ctrl.PhaseEnd()
-	if l.timerAt == end {
-		return // already armed for this slice end
-	}
-	l.timerAt = end
-	delay := end - monotime()
-	if delay < 0 {
-		delay = 0
-	}
-	if l.timer == nil {
-		l.timer = startLockTimer(delay, l.onPhaseTimer)
-		return
-	}
-	l.timer.Reset(delay)
 }
 
 // onPhaseTimer re-evaluates the phase when a slice end passes without a
@@ -953,7 +932,7 @@ func (l *RWLock) onPhaseTimer() {
 	check.Point("rw.phasetimer")
 	l.lockMu()
 	defer l.unlockMu()
-	l.timerAt = -1 // consumed; the next armPhaseTimer must re-arm
+	l.timer.fired()
 	l.advanceLocked(monotime())
 }
 
@@ -993,16 +972,6 @@ func (l *RWLock) CheckInvariants() error {
 	sum := l.readerSum()
 	if w := l.word.Load(); w&rwWActive != 0 && sum > 0 {
 		return fmt.Errorf("scl: writer active with %d readers holding", sum)
-	}
-	// The combining stack holds only unresolved requests: claimed ones
-	// left it with the drained batch, and done is stored only after
-	// removal, so either state reachable here means corrupted hand-off.
-	for r := l.wcombine.Load(); r != nil; r = r.next.Load() {
-		switch s := r.state.Load(); s {
-		case combinePending, combineCancelled:
-		default:
-			return fmt.Errorf("scl: rw combine stack holds request in state %d", s)
-		}
 	}
 	return l.checkFlipLocked()
 }

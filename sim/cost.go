@@ -35,8 +35,8 @@ type CostModel struct {
 	// re-acquiring a TAS spinlock beats an already-spinning waiter to the
 	// cacheline (barging). Drawn from the engine's seeded RNG.
 	StealProb float64
-	// CombinePublish is what a USCL.Do caller pays to push its critical
-	// section onto the contended combining stack (a CAS on a remote line).
+	// CombinePublish is what a USCL.Do caller pays to queue its critical
+	// section behind the holder (a waiter append on a contended line).
 	CombinePublish time.Duration
 	// CombineDispatch is the combiner's per-section drain overhead (claim
 	// plus timing bookkeeping) before the section itself runs.

@@ -50,7 +50,8 @@ type USCL struct {
 
 	// combine holds published critical sections (Do) awaiting the
 	// holder's release-time drain, in publish order; the drain takes the
-	// newest first, matching the real lock's Treiber-stack pop.
+	// newest first, matching the real lock's drain of its queued closure
+	// waiters.
 	combine []*usclCombine
 
 	sliceEvtGen uint64 // validity of the scheduled slice-end transfer
@@ -109,7 +110,7 @@ func (l *USCL) Do(t *Task, hold time.Duration) {
 		l.doClassic(t, hold)
 		return
 	}
-	t.Compute(l.e.cfg.Cost.CombinePublish) // push CAS on the contended stack
+	t.Compute(l.e.cfg.Cost.CombinePublish) // queue the closure behind the holder
 	if l.heldBy == nil && !l.transfer {
 		// The holder left while we were publishing; self-serve.
 		l.doClassic(t, hold)
@@ -190,8 +191,8 @@ func (l *USCL) drainCombine(t *Task) {
 
 // rejectStrandedCombines self-serves publishers left queued when the
 // lock goes idle: with no holder left to drain them, the real lock's
-// release-time wake-walk makes publishers withdraw and acquire
-// classically, and the simulation mirrors that.
+// release returns its queued closure waiters to the classic path
+// (Mutex.rejectStranded), and the simulation mirrors that.
 func (l *USCL) rejectStrandedCombines(t *Task) {
 	if l.heldBy != nil || l.transfer || len(l.combine) == 0 {
 		return

@@ -512,8 +512,8 @@ func TestRWLockStressCancel(t *testing.T) {
 
 // TestMutexStressCombine hammers one Mutex with a mix of combining
 // (Handle.Do) and classic (Lock/Unlock, LockContext) users, so drained
-// batches, withdrawn publishers, rejected banned publishers, and
-// ordinary grants interleave under the race detector. The invariants
+// batches, granted and rejected closure waiters, and ordinary grants
+// interleave under the race detector. The invariants
 // are those of TestMutexStressContended — mutual exclusion over a
 // plainly-guarded counter, no lost wakeups — plus exactly-once
 // execution of every published section (the guarded total must equal
