@@ -48,6 +48,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"scl"
@@ -130,7 +131,7 @@ func RunReal(s sim.Script) (sim.ScriptResult, error) {
 		Bans:     make([]int, len(s.Entities)),
 		Hold:     make([]time.Duration, len(s.Entities)),
 	}
-	ring := trace.NewRing(1 << 14)
+	var bans BanCounter
 	var m *scl.Mutex
 	// idToEnt maps live handle IDs to entity indices; written only from
 	// managed goroutines (serial under the checker) and the pre-Run
@@ -141,7 +142,7 @@ func RunReal(s sim.Script) (sim.ScriptResult, error) {
 	check.Install(sched)
 	defer check.Uninstall(sched)
 
-	m = scl.NewMutex(scl.Options{Slice: slice, Tracer: ring, Name: "oracle"})
+	m = scl.NewMutex(scl.Options{Slice: slice, Tracer: &bans, Name: "oracle"})
 	for i, ent := range s.Entities {
 		i, ent := i, ent
 		h := m.Register()
@@ -210,14 +211,42 @@ func RunReal(s sim.Script) (sim.ScriptResult, error) {
 	if err := m.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("real-side invariants: %w", err)
 	}
-	for _, ev := range ring.Events() {
-		if ev.Kind == trace.KindBan {
-			if i, ok := idToEnt[ev.Entity]; ok {
-				res.Bans[i]++
-			}
+	bans.Tally(res.Bans, idToEnt)
+	return res, nil
+}
+
+// BanCounter is an scl.Tracer that counts ban events per handle ID, the
+// only part of a real lock's event stream the oracle compares. Unlike a
+// bounded trace.Ring it never drops an event and reserves no memory up
+// front. Record is safe for concurrent use.
+type BanCounter struct {
+	mu   sync.Mutex
+	bans map[int64]int
+}
+
+// Record implements scl.Tracer.
+func (c *BanCounter) Record(ev trace.Event) {
+	if ev.Kind != trace.KindBan {
+		return
+	}
+	c.mu.Lock()
+	if c.bans == nil {
+		c.bans = make(map[int64]int)
+	}
+	c.bans[ev.Entity]++
+	c.mu.Unlock()
+}
+
+// Tally adds the bans counted for each handle ID to bans[idToEnt[ID]];
+// IDs missing from idToEnt are ignored.
+func (c *BanCounter) Tally(bans []int, idToEnt map[int64]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, n := range c.bans {
+		if i, ok := idToEnt[id]; ok {
+			bans[i] += n
 		}
 	}
-	return res, nil
 }
 
 // RunRealRW executes an RW script against the real scl.RWLock under

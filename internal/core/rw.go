@@ -61,6 +61,7 @@ func (p RWParams) withDefaults() RWParams {
 // lock serializes access and implements draining.
 type RWController struct {
 	params     RWParams
+	slices     [2]time.Duration // SliceLen per Phase, fixed at construction
 	phase      Phase
 	phaseStart time.Duration
 }
@@ -68,7 +69,12 @@ type RWController struct {
 // NewRWController returns a controller. The lock begins in a read slice,
 // as in the paper's Figure 4.
 func NewRWController(p RWParams) *RWController {
-	return &RWController{params: p.withDefaults()}
+	p = p.withDefaults()
+	period, total := float64(p.Period), float64(p.ReadWeight+p.WriteWeight)
+	return &RWController{params: p, slices: [2]time.Duration{
+		PhaseRead:  time.Duration(period * float64(p.ReadWeight) / total),
+		PhaseWrite: time.Duration(period * float64(p.WriteWeight) / total),
+	}}
 }
 
 // Params returns the effective (defaulted) parameters.
@@ -78,15 +84,9 @@ func (c *RWController) Params() RWParams { return c.params }
 func (c *RWController) Phase() Phase { return c.phase }
 
 // SliceLen returns the length of the given class's slice:
-// Period × weight_class / (ReadWeight + WriteWeight).
-func (c *RWController) SliceLen(p Phase) time.Duration {
-	total := c.params.ReadWeight + c.params.WriteWeight
-	w := c.params.ReadWeight
-	if p == PhaseWrite {
-		w = c.params.WriteWeight
-	}
-	return time.Duration(float64(c.params.Period) * float64(w) / float64(total))
-}
+// Period × weight_class / (ReadWeight + WriteWeight), computed once by
+// NewRWController.
+func (c *RWController) SliceLen(p Phase) time.Duration { return c.slices[p] }
 
 // Expired reports whether the current slice has run past its length.
 func (c *RWController) Expired(now time.Duration) bool {

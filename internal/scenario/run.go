@@ -11,7 +11,6 @@ import (
 	"scl/internal/check/oracle"
 	"scl/internal/metrics"
 	"scl/sim"
-	"scl/trace"
 )
 
 // Substrate names accepted by Run and the sclscenario CLI.
@@ -145,8 +144,8 @@ func runWallMutex(c *Compiled) (sim.ScriptResult, error) {
 		Bans:     make([]int, len(script.Entities)),
 		Hold:     make([]time.Duration, len(script.Entities)),
 	}
-	ring := trace.NewRing(1 << 14)
-	m := scl.NewMutex(scl.Options{Slice: s.Slice, Tracer: ring, Name: s.Name})
+	var bans oracle.BanCounter
+	m := scl.NewMutex(scl.Options{Slice: s.Slice, Tracer: &bans, Name: s.Name})
 	var mu sync.Mutex // guards res and idToEnt
 	idToEnt := make(map[int64]int)
 	var wg sync.WaitGroup
@@ -231,13 +230,7 @@ func runWallMutex(c *Compiled) (sim.ScriptResult, error) {
 	if err := m.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("wall-side invariants: %w", err)
 	}
-	for _, ev := range ring.Events() {
-		if ev.Kind == trace.KindBan {
-			if i, ok := idToEnt[ev.Entity]; ok {
-				res.Bans[i]++
-			}
-		}
-	}
+	bans.Tally(res.Bans, idToEnt)
 	return res, nil
 }
 

@@ -121,7 +121,7 @@ func WithTenantGC(threshold time.Duration) ManagerOption {
 // through the checkhooks seam).
 type stripe struct {
 	mu       sync.Mutex
-	books    *core.Accountant     // tenant-level accounting, k-SCL style
+	books    *core.Accountant // tenant-level accounting, k-SCL style
 	keys     map[string]*managedLock
 	inflight map[core.ID]int // grants in flight per tenant (reap veto)
 	stats    map[core.ID]*tenantStat
@@ -346,13 +346,14 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	// stripe books' penalty is imposed at acquire, exactly like the
 	// single-lock rule (§4.2), and the sleep happens outside the stripe
 	// mutex so banned tenants never block the table.
+	var now time.Duration
 	for {
 		lockMutex(&s.mu)
-		now := monotime()
+		now = monotime()
 		s.ensureTenantLocked(t, now)
 		until := s.books.BannedUntil(t.id)
 		if until <= now {
-			break // proceed, still holding s.mu
+			break // proceed, still holding s.mu and reusing now
 		}
 		unlockMutex(&s.mu)
 		if done == nil {
@@ -375,7 +376,6 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 			return nil, ctx.Err()
 		}
 	}
-	now := monotime()
 	ml := s.keys[key]
 	if ml == nil {
 		ml = s.materializeLocked(m, key, now)

@@ -19,8 +19,11 @@ import (
 // owner's lock-free acquire/release) fire without it, so records from
 // distinct handles may run concurrently — implementations must be
 // concurrency-safe, fast, must not block, and must not call back into
-// the lock. trace.Ring is the built-in implementation — a lock-free
-// bounded flight recorder safe to leave enabled in production.
+// the lock. Delivering an event allocates nothing: the Event is built on
+// the stack and passed by value. trace.Ring is the built-in
+// implementation — a lock-free bounded flight recorder that copies each
+// event into a preallocated slot, so a traced lock also allocates nothing
+// per operation and the recorder is safe to leave enabled in production.
 type Tracer interface {
 	Record(trace.Event)
 }

@@ -176,3 +176,31 @@ func TestNoTracerNoEvents(t *testing.T) {
 	// Nothing to assert beyond "does not panic": the nil path is the
 	// default exercised by every other test in the package.
 }
+
+// A traced lock must cost no allocation per operation: the event is
+// built on the stack and copied into a preallocated ring slot.
+func TestTracedLocksAllocateNothing(t *testing.T) {
+	ring := trace.NewRing(1 << 10)
+	h := NewMutex(Options{Slice: time.Minute, Tracer: ring, Name: "m"}).Register()
+	// A short period lets AllocsPerRun's warm-up write wait out the
+	// initial read slice; after it the write slice persists while no
+	// reader arrives, so every measured write is uncontended.
+	rw := NewRWLock(1, 1, 2*time.Millisecond, WithName("rw"))
+	rw.SetTracer(ring)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Mutex", func() { h.Lock(); h.Unlock() }},
+		{"RWLock read", func() { rw.RLock(); rw.RUnlock() }},
+		{"RWLock write", func() { rw.WLock(); rw.WUnlock() }},
+	} {
+		seen := ring.Seen()
+		if n := testing.AllocsPerRun(200, c.op); n != 0 {
+			t.Errorf("%s: %v allocs per op, want 0", c.name, n)
+		}
+		if ring.Seen() == seen {
+			t.Errorf("%s: no events traced", c.name)
+		}
+	}
+}
