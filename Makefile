@@ -72,7 +72,8 @@ scenarios:
 
 # Not part of the gate: the real-lock benchmarks (fast path, contention,
 # sync-primitive baselines) plus the scenario-corpus benchmarks
-# (BenchmarkScenario*, which carry grants/op and jain-hold metrics).
+# (BenchmarkScenario*, which carry grants/op and jain-hold metrics) and
+# the stats reservoir the locks fold into (internal/metrics).
 # Each run is appended to BENCH_scl.json by cmd/benchjson, growing a
 # benchstat-compatible performance trajectory whose first entry is the
 # pre-fast-path baseline. The corpus gate (`scenarios`) runs first so a
@@ -86,7 +87,7 @@ scenarios:
 # deltas but not gated; judge them with benchstat across trajectory
 # runs instead.
 bench: scenarios
-	$(GO) test -run '^$$' -bench . -benchmem -count=5 -benchtime=0.3s . | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_scl.json
+	$(GO) test -run '^$$' -bench . -benchmem -count=5 -benchtime=0.3s . ./internal/metrics | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_scl.json
 	$(GO) run ./cmd/benchjson -compare BENCH_scl.json -volatile 'PingPong|Contended|DoMixed|KSCLTraced'
 
 # Deterministic schedule exploration of the real locks (internal/check)

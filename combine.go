@@ -239,7 +239,7 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 // that escapes fn anyway is re-raised, scl-identified, on whichever
 // goroutine ran the closure; the lock itself stays usable.
 func (l *RWLock) Do(fn func()) {
-	if !l.fastWLock(monotime()) {
+	if !l.fastWLock() {
 		do := &rwDo{fn: fn}
 		if ch, _ := l.wlockSlow(do); ch != nil && !check.WaitChan("rw.wwait", ch) {
 			<-ch

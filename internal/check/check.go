@@ -112,12 +112,14 @@ func Point(name string) {
 // Now returns the virtual clock when a scheduler is installed. Unlike
 // the blocking hooks it is live even from unmanaged goroutines, so a
 // lock created before Sched.Run and inspected after it sees one
-// monotonic virtual timeline.
+// monotonic virtual timeline. Each such read is counted (see
+// Sched.ClockReads); without a scheduler nothing is counted.
 func Now() (time.Duration, bool) {
 	s := active.Load()
 	if s == nil {
 		return 0, false
 	}
+	s.clockReads.Add(1)
 	return s.now, true
 }
 

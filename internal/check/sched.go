@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -108,9 +109,10 @@ type Sched struct {
 	current *goroutine
 	yield   chan struct{}
 
-	now      time.Duration
-	timers   timerHeap
-	timerSeq int
+	now        time.Duration
+	clockReads atomic.Int64 // Now calls while installed
+	timers     timerHeap
+	timerSeq   int
 
 	mutexes map[*sync.Mutex]*goroutine
 
@@ -186,6 +188,11 @@ func (s *Sched) Failf(format string, args ...any) {
 
 // Now returns the current virtual clock.
 func (s *Sched) Now() time.Duration { return s.now }
+
+// ClockReads reports how many times the package-level Now hook read the
+// clock while s was installed — the locks' monotime calls, counted
+// exactly and independently of the machine, for per-op clock budgets.
+func (s *Sched) ClockReads() int64 { return s.clockReads.Load() }
 
 // Run drives the schedule to completion: it loops choosing among
 // enabled goroutines, advancing the virtual clock when none are

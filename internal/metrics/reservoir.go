@@ -2,85 +2,100 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"time"
 )
 
 // Reservoir keeps a bounded uniform sample of an unbounded stream of
-// durations (Vitter's algorithm R) so long simulations can record latency
-// distributions without unbounded memory. The RNG is caller-seeded, keeping
-// simulations deterministic.
+// durations (Li's Algorithm L) so long simulations can record latency
+// distributions without unbounded memory. Once the reservoir is full,
+// Algorithm L draws the gap to the next kept observation directly, so
+// the observations in between cost a counter increment and no random
+// draw: O(cap·log(n/cap)) draws over a stream of n, not one per
+// observation. The RNG is caller-seeded, keeping simulations
+// deterministic.
 type Reservoir struct {
-	cap     int
-	seen    int64
 	samples []time.Duration
-	seed    int64
-	rng     *rand.Rand
+	seen    int64 // observations offered
+	// next is the 1-based stream index of the next observation that
+	// draws randomness: while filling, the capacity (the draw that opens
+	// the sampling phase); once full, the next observation kept. Keeping
+	// the capacity here rather than in its own field holds the struct to
+	// 64 bytes, so a lock's per-entity stats cost no more memory.
+	next int64
+	w    float64 // Algorithm L's running weight; 0 while filling
+	rng  rand.PCG
 }
 
 // NewReservoir returns a reservoir holding at most cap samples, drawing
-// replacement decisions from the given seed. The RNG is materialized
-// lazily, on the first observation past capacity: seeding a math/rand
-// source costs microseconds and kilobytes, which dominates entity
-// registration in churny workloads, and a stream that never overflows
-// the reservoir never makes a replacement decision at all.
+// replacement decisions from the given seed.
 func NewReservoir(cap int, seed int64) *Reservoir {
 	if cap <= 0 {
 		cap = 1
 	}
-	return &Reservoir{cap: cap, seed: seed}
-}
-
-// rand returns the replacement RNG, seeding it on first use.
-func (r *Reservoir) rand() *rand.Rand {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.seed))
-	}
-	return r.rng
+	r := &Reservoir{next: int64(cap)}
+	r.rng.Seed(uint64(seed), 0x9e3779b97f4a7c15) // fixed second seed word
+	return r
 }
 
 // Add offers one observation to the reservoir.
 func (r *Reservoir) Add(d time.Duration) {
 	r.seen++
-	if len(r.samples) < r.cap {
+	switch {
+	case r.seen == r.next:
+		r.keep(d)
+	case r.w == 0:
 		r.samples = append(r.samples, d)
-		return
-	}
-	if i := r.rand().Int63n(r.seen); i < int64(r.cap) {
-		r.samples[i] = d
 	}
 }
 
-// AddN offers n identical observations in one step. It is equivalent in
-// distribution to n sequential Add calls but costs O(cap) instead of O(n):
-// because the values are identical, only the number of slots they end up
-// occupying matters, and that count is drawn once from its expectation
-// under algorithm R. Batch accounting paths (lock fast-path folds) use
-// this to record thousands of uniform observations per fold cheaply.
+// AddN offers n identical observations in one step. It is exactly n
+// sequential Add calls — same retained sample, same RNG state — but
+// costs O(1) per gap between kept observations instead of O(n): whole
+// gaps are skipped arithmetically, and randomness is drawn only for a
+// replacement that falls inside the batch. Batch accounting paths (lock
+// fast-path folds) use this to record thousands of uniform observations
+// per fold cheaply.
 func (r *Reservoir) AddN(d time.Duration, n int64) {
-	for n > 0 && len(r.samples) < r.cap {
+	for n > 0 {
+		// The observations before next: appended while filling,
+		// skipped once full.
+		skip := min(n, r.next-r.seen-1)
+		if r.w == 0 {
+			for range skip {
+				r.samples = append(r.samples, d)
+			}
+		}
+		r.seen += skip
+		if n -= skip; n > 0 {
+			r.seen++
+			n--
+			r.keep(d)
+		}
+	}
+}
+
+// keep stores the observation at index next — the last fill slot, or a
+// uniformly chosen slot once full — and draws the gap to the following
+// kept observation: the weight shrinks by U^(1/cap), and the gap is
+// geometric in it (Li 1994, Algorithm L).
+func (r *Reservoir) keep(d time.Duration) {
+	if r.w == 0 {
 		r.samples = append(r.samples, d)
-		r.seen++
-		n--
+		r.w = 1
+	} else {
+		hi, _ := bits.Mul64(r.rng.Uint64(), uint64(len(r.samples)))
+		r.samples[hi] = d
 	}
-	if n <= 0 {
-		return
-	}
-	before := r.seen
-	r.seen += n
-	// Expected replacements: Σ cap/i for i in (before, before+n], i.e.
-	// cap·ln(after/before); round stochastically to stay unbiased.
-	expected := float64(r.cap) * math.Log(float64(r.seen)/float64(before))
-	k := int(expected)
-	if r.rand().Float64() < expected-float64(k) {
-		k++
-	}
-	if k > r.cap {
-		k = r.cap
-	}
-	for i := 0; i < k; i++ {
-		r.samples[r.rand().Intn(len(r.samples))] = d
-	}
+	r.w *= math.Exp(math.Log(r.uniform()) / float64(len(r.samples)))
+	gap := math.Log(r.uniform()) / math.Log1p(-r.w)
+	r.next += int64(min(gap, 1<<62)) + 1
+}
+
+// uniform draws from the open interval (0, 1), safe to take the log of.
+func (r *Reservoir) uniform() float64 {
+	return (float64(r.rng.Uint64()>>11) + 0.5) / (1 << 53)
 }
 
 // Seen reports how many observations were offered in total.

@@ -476,7 +476,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context, fn func()) (ran bool, e
 	reqAt := time.Duration(-1) // first clock read inside serveBan
 	check.Point("mu.lockslow")
 	for {
-		banned, ok := m.serveBan(h, done, &reqAt)
+		now, banned, ok := m.serveBan(h, done, &reqAt)
 		if !ok {
 			return false, ctx.Err()
 		}
@@ -486,7 +486,6 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context, fn func()) (ran bool, e
 		// Uncontended path: we own the live slice, or the lock is wholly
 		// free. setHeldLocked can lose only to a fast-path sibling; then we
 		// queue like anyone else and its release hands the slice over.
-		now := monotime()
 		if m.word.Load()&(wordHeld|wordTransfer) == 0 && m.fastEligible(h, now) && m.setHeldLocked() {
 			m.acquireLocked(h, now, reqAt)
 			m.unlockMu()
@@ -517,18 +516,20 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context, fn func()) (ran bool, e
 }
 
 // serveBan sleeps out h's ban, if any (banned), and returns holding
-// m.mu. It returns !ok, without m.mu, when done fires first (the
-// abandonment is recorded). *reqAt is set by the first clock read.
-func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) (banned, ok bool) {
+// m.mu together with the clock read taken under it, which the caller
+// reuses for the acquire: one clock read per slow-path acquire. It
+// returns !ok, without m.mu, when done fires first (the abandonment is
+// recorded). *reqAt is set by the first clock read.
+func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) (now time.Duration, banned, ok bool) {
 	for {
 		m.lockMu()
-		now := monotime()
+		now = monotime()
 		if *reqAt < 0 {
 			*reqAt = now
 		}
 		until := m.acct.BannedUntil(h.id)
 		if until <= now {
-			return banned, true
+			return now, banned, true
 		}
 		banned = true
 		m.unlockMu()
@@ -543,7 +544,7 @@ func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) 
 		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
 			if cancelled {
 				m.noteAbandon(h, *reqAt)
-				return banned, false
+				return now, banned, false
 			}
 			continue
 		}
@@ -553,7 +554,7 @@ func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) 
 		case <-done:
 			t.Stop()
 			m.noteAbandon(h, *reqAt)
-			return banned, false
+			return now, banned, false
 		}
 	}
 }

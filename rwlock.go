@@ -421,12 +421,18 @@ func (l *RWLock) fastRUnlock() bool {
 // is taken under the phase bit — which blocks new fast readers — and the
 // CAS covers the epoch, so an intervening phase flip (which could have
 // admitted readers and flipped back) fails the CAS instead of admitting
-// a writer on top of them.
-func (l *RWLock) fastWLock(now time.Duration) bool {
+// a writer on top of them. The clock is read once, only after the
+// eligibility check passes: a traced lock or a queued waiter costs no
+// wasted read before the slow path takes its own.
+func (l *RWLock) fastWLock() bool {
+	now := time.Duration(-1)
 	for {
 		w := l.word.Load()
 		if w&(rwWActive|rwWaiters) != 0 || w&rwPhaseWrite == 0 || l.tracer.on() {
 			return false
+		}
+		if now < 0 {
+			now = monotime()
 		}
 		check.Point("rw.fast.wlock")
 		if l.readerSum() != 0 {
@@ -445,12 +451,17 @@ func (l *RWLock) fastWLock(now time.Duration) bool {
 
 // fastWUnlock mirrors fastWLock for release. Any queued waiter — an
 // RWLock.Do closure included — forces the slow path, whose release
-// drains or grants it.
-func (l *RWLock) fastWUnlock(now time.Duration) bool {
+// drains or grants it. Like fastWLock, it reads the clock at most once,
+// after the eligibility check.
+func (l *RWLock) fastWUnlock() bool {
+	now := time.Duration(-1)
 	for {
 		w := l.word.Load()
 		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.on() {
 			return false
+		}
+		if now < 0 {
+			now = monotime()
 		}
 		check.Point("rw.fast.wunlock")
 		if l.word.CompareAndSwap(w, w&^rwWActive) {
@@ -577,7 +588,7 @@ func (l *RWLock) quiescentSumLocked() int64 {
 // within the write slice, so a second writer can use the slice while the
 // first runs non-critical code (paper Figure 12b).
 func (l *RWLock) WLock() {
-	if l.fastWLock(monotime()) {
+	if l.fastWLock() {
 		return
 	}
 	if ch, _ := l.wlockSlow(nil); ch != nil {
@@ -594,7 +605,7 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if l.fastWLock(monotime()) {
+	if l.fastWLock() {
 		return nil
 	}
 	ch, since := l.wlockSlow(nil)
@@ -709,13 +720,12 @@ func (l *RWLock) noteAbandonLocked(entity int64, now, waited time.Duration) {
 
 // WUnlock releases the exclusive hold.
 func (l *RWLock) WUnlock() {
-	now := monotime()
-	if l.fastWUnlock(now) {
+	if l.fastWUnlock() {
 		return
 	}
 	check.Point("rw.wunlock.slow")
 	l.lockMu()
-	now = monotime()
+	now := monotime()
 	w := l.word.Load()
 	if w&rwWActive == 0 {
 		l.unlockMu()

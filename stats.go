@@ -6,9 +6,10 @@ import (
 	"scl/internal/metrics"
 )
 
-// distCap bounds the per-entity hold/wait reservoirs (Vitter's algorithm
-// R): distributions stay accurate in expectation with fixed memory,
-// however long the lock lives.
+// distCap bounds the per-entity hold/wait reservoirs (Li's Algorithm
+// L): distributions stay accurate in expectation with fixed memory,
+// however long the lock lives, and a full reservoir draws randomness
+// only for the observations it keeps.
 const distCap = 512
 
 // lockStats mirrors the simulator's lock accounting for the real-time
