@@ -5,9 +5,14 @@
 
 GO ?= go
 
-.PHONY: check build build-matrix bench-build vet test race race-debug review-gate docs-check check-explore oracle scenarios bench bench-all
+.PHONY: check fmt build build-matrix bench-build vet test race race-debug review-gate docs-check check-explore oracle scenarios bench bench-all
 
-check: build build-matrix bench-build vet race race-debug review-gate docs-check
+check: fmt build build-matrix bench-build vet race race-debug review-gate docs-check
+
+# Every Go file in the tree, the lockbench/ module included, must be
+# gofmt-clean; `gofmt -l .` names the offenders.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

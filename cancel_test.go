@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scl/internal/check"
 	"scl/trace"
 )
 
@@ -203,6 +204,65 @@ func TestRWLockContextCancelWhileBlocked(t *testing.T) {
 	l.RUnlock()
 	l.WLock()
 	l.WUnlock()
+}
+
+// TestRWLockContextCancelWinsRacedGrant drives the RW raced-grant window
+// deterministically under the check scheduler: the holder's release posts
+// the grant token to a queued waiter and the waiter's ctx is cancelled
+// before the waiter runs again. Cancellation wins the tie, the token is
+// left for abandonWaiter, which releases the just-granted hold, and the
+// lock stays free and consistent — for a reader and for a writer waiter.
+func TestRWLockContextCancelWinsRacedGrant(t *testing.T) {
+	for _, c := range []struct {
+		class string
+		wait  func(*RWLock, context.Context) error
+		queue func(*RWLock) []rwWaiter
+		// Acquisitions once the cancelled grant landed: the holder's and
+		// the waiter's final WLock, plus the grant itself.
+		readerOps, writerOps int64
+	}{
+		{"reader", (*RWLock).RLockContext, func(l *RWLock) []rwWaiter { return l.waitR }, 1, 2},
+		{"writer", (*RWLock).WLockContext, func(l *RWLock) []rwWaiter { return l.waitW }, 0, 3},
+	} {
+		t.Run(c.class, func(t *testing.T) {
+			s := check.NewSched(check.NewFirstChooser(), 0)
+			check.Install(s)
+			defer check.Uninstall(s)
+			l := NewRWLock(1, 1, time.Millisecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			var err error
+			// The first chooser runs the lowest-numbered enabled goroutine,
+			// so the holder keeps running from its release, which posts the
+			// grant, through the cancel. Holding past the write slice lets
+			// the release grant a queued reader too.
+			s.Go("holder", func() {
+				l.WLock()
+				check.WaitOrDone("queued", func() bool { return len(c.queue(l)) > 0 }, nil)
+				check.Sleep(time.Millisecond)
+				l.WUnlock()
+				cancel()
+			})
+			s.Go("waiter", func() {
+				check.WaitOrDone("held", func() bool { return l.word.Load()&rwWActive != 0 }, nil)
+				err = c.wait(l, ctx)
+				l.WLock() // the abandoned grant left the lock free
+				l.WUnlock()
+			})
+			if res := s.Run(); res.Failure != nil {
+				t.Fatalf("checker failure: %v", res.Failure)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s wait = %v, want context.Canceled", c.class, err)
+			}
+			st := l.Stats()
+			if st.ReaderOps != c.readerOps || st.WriterOps != c.writerOps || st.ReaderCancels+st.WriterCancels != 1 {
+				t.Fatalf("stats %+v: want the cancelled %s's grant landed, then one cancel", st, c.class)
+			}
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after the raced grant: %v", err)
+			}
+		})
+	}
 }
 
 // TestLockContextGrantRace aims LockContext cancellations at the grant

@@ -1,7 +1,9 @@
 package scl
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scl/internal/check"
@@ -17,6 +19,25 @@ import (
 // scheduler-managed resources, the slice/phase timers run on the
 // virtual clock, and blocking waits become predicate parks the explorer
 // can reorder.
+//
+// The waiting layer every lock type shares lives here too, so that each
+// wait the paper's acquire shape needs is coded once (penalty at
+// acquire, §4.2, then the queue, then a releasing holder that may run
+// queued work):
+//
+//   - sleepOrDone serves a ban: Mutex.serveBan and the Manager's
+//     table-level ban in Tenant.acquire.
+//   - (*RWLock).await waits for a grant token on a queued RW waiter's
+//     channel: RLock, RLockContext, WLock, WLockContext and RWLock.Do.
+//     The Mutex's grant wait is waiter.await in mutex.go. Both build the
+//     checker's ready-predicate only under check.Enabled, so a
+//     real-runtime wait allocates no closure.
+//   - runBatch runs a drained batch of Do closures back to back under
+//     the one panic/Goexit backstop: Mutex.drainCombine and
+//     RWLock.drainWCombine.
+//
+// casWord is the state-word CAS loop both lock types share, with its
+// load→CAS window as a check point ("mu.word.mutate", "rw.word.mutate").
 //
 // A lock instance must live entirely on one side of the seam: created
 // and used under an installed scheduler, or created and used without
@@ -77,12 +98,20 @@ type lockTimer interface {
 }
 
 // startLockTimer arms a one-shot timer calling f after d: a virtual
-// timer under an installed check scheduler, time.AfterFunc otherwise.
+// timer under an installed check scheduler, time.AfterFunc otherwise. A
+// real timer that fires while a scheduler is installed belongs to a lock
+// of the real side, left armed by an earlier test of the same binary; it
+// is dropped, since running f would reach into the scheduler's hooks from
+// a goroutine it does not manage.
 func startLockTimer(d time.Duration, f func()) lockTimer {
 	if t, ok := check.AfterFunc(d, f); ok {
 		return t
 	}
-	return time.AfterFunc(d, f)
+	return time.AfterFunc(d, func() {
+		if !check.Enabled() {
+			f()
+		}
+	})
 }
 
 // sliceTimer is a lock's one reusable slice-end (Mutex) or phase-end
@@ -135,6 +164,111 @@ func lockMutex(mu *sync.Mutex) {
 func unlockMutex(mu *sync.Mutex) {
 	if !check.UnlockMutex(mu) {
 		mu.Unlock()
+	}
+}
+
+// sleepOrDone sleeps for d, or until done fires first (cancelled; done ==
+// nil never fires). Under an installed scheduler the sleep runs on the
+// virtual clock, and a wake at the deadline reports !cancelled even if
+// done also fired — the caller observes the cancellation at its next
+// blocking point.
+func sleepOrDone(d time.Duration, done <-chan struct{}) (cancelled bool) {
+	if done == nil {
+		if !check.Sleep(d) {
+			time.Sleep(d)
+		}
+		return false
+	}
+	if cancelled, handled := check.SleepOrDone(d, done); handled {
+		return cancelled
+	}
+	t := time.NewTimer(d)
+	select {
+	case <-t.C:
+		return false
+	case <-done:
+		t.Stop()
+		return true
+	}
+}
+
+// await blocks until the granter posts the token on a queued waiter's
+// channel ch and consumes it (true), or until done fires first (false;
+// done == nil never fires). A false return leaves a grant that raced the
+// cancellation on ch, for abandonWaiter to consume. name is the wait's
+// check point ("rw.rwait" or "rw.wwait").
+func (l *RWLock) await(name string, ch chan struct{}, done <-chan struct{}) bool {
+	if check.Enabled() {
+		// Deterministic checker: a predicate park the explorer can reorder.
+		// Cancellation wins a tie and leaves the token in place.
+		if ok, handled := check.WaitOrDone(name, func() bool { return len(ch) > 0 }, done); handled {
+			if ok {
+				<-ch
+			}
+			return ok
+		}
+	}
+	if done == nil {
+		<-ch // a plain receive parks and wakes cheaper than a select
+		return true
+	}
+	select {
+	case <-ch:
+		return true
+	case <-done:
+		return false
+	}
+}
+
+// runBatch runs a drained batch of n Do closures back to back, run(i)
+// executing closure i, while the caller owns its lock's exclusive bit
+// and not the lock's internal mutex. at[i] and at[i+1] bracket closure
+// i: n+1 clock reads in all.
+//
+// Do closures are documented as must-not-panic, but one that panics (or
+// calls runtime.Goexit) would otherwise wedge the lock: the exclusive
+// bit stays up and the batch's waiters have no resolution coming. So an
+// escaped unwind calls abort(ran), where closure ran is the one that
+// failed; abort must retake the internal mutex, resolve closures 0..ran
+// as executed (exactly-once forbids a re-run) and requeue the rest, and
+// retire the exclusive bit. A panic then continues as "scl: <what>
+// critical section panicked: <value>"; a Goexit continues on its own.
+// The failed batch's charges are dropped: fairness bookkeeping is
+// best-effort on a path that is already a contract violation.
+func runBatch(what string, n int, run func(i int), abort func(ran int)) (at [combineBatch + 1]time.Duration) {
+	ran := 0
+	defer func() {
+		if ran == n {
+			return // every closure completed
+		}
+		pv := recover()
+		abort(ran)
+		if pv != nil {
+			panic(fmt.Sprintf("scl: %s critical section panicked: %v", what, pv))
+		}
+		// pv == nil means runtime.Goexit: the unwind continues on its own.
+	}()
+	at[0] = monotime()
+	for ran < n {
+		run(ran)
+		at[ran+1] = monotime()
+		ran++
+	}
+	return at
+}
+
+// casWord applies f to word with a CAS loop that tolerates concurrent
+// fast-path CASes, and returns the installed word. The load→CAS window,
+// where such a CAS may land, is the check point name. The lock's
+// internal mutex is held.
+func casWord(word *atomic.Uint64, name string, f func(uint64) uint64) uint64 {
+	for {
+		old := word.Load()
+		new := f(old)
+		check.Point(name)
+		if old == new || word.CompareAndSwap(old, new) {
+			return new
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package scl
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -123,11 +122,12 @@ func (m *Mutex) closureQueued() bool {
 // drainCombine executes a batch of queued closures (closureQueued holds)
 // while the releasing holder still owns the held bit: the closures run
 // outside m.mu (they are user code) with the held word providing mutual
-// exclusion, then the measured times are folded into the accountant, stats and tracer in one
-// re-locked step — per-entity acquire/release bookings at the closures'
-// real timestamps, immediate ChargeWindow-style penalties, and one
-// combine event identifying the combiner. Returns the post-drain clock
-// for the caller's boundary logic. m.mu held on entry and exit.
+// exclusion, then the measured times are folded into the accountant,
+// stats and tracer in one re-locked step — per-entity acquire/release
+// bookings at the closures' real timestamps, immediate ChargeWindow-style
+// penalties, and one combine event identifying the combiner. Returns the
+// post-drain clock for the caller's boundary logic. m.mu held on entry and
+// exit.
 func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration {
 	batch := m.takeCombineBatch(now)
 	if len(batch) == 0 {
@@ -137,52 +137,23 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 	// (entityQueued) still see it while m.mu is released below.
 	m.draining = batch
 	m.unlockMu()
-	// at[i] and at[i+1] bracket closure i: the closures run back to back.
-	var buf [combineBatch + 1]time.Duration
-	at := buf[:1]
-	ran := 0
-	// Do closures are documented as must-not-panic, but an escaped panic
-	// (or runtime.Goexit) in one would otherwise wedge the whole lock:
-	// m.mu is released, m.draining is populated, the batch's waiters have
-	// no resolution coming, and the held bit stays up. Fail loudly
-	// instead of wedging: resolve the batch, retire the held word, and let
-	// the panic continue scl-identified. The failed batch's charges are
-	// dropped — fairness bookkeeping is best-effort on a path that is
-	// already a contract violation.
-	defer func() {
-		if ran == len(batch) {
-			return // every closure completed; the booking below ran normally
-		}
-		pv := recover()
+	at := runBatch("Handle.Do", len(batch), func(i int) { batch[i].fn() }, func(ran int) {
 		m.lockMu()
 		m.draining = nil
 		for i, w := range batch {
 			if i <= ran {
-				// Executed (the ran'th closure is the one that blew up):
-				// exactly-once forbids a re-run, so resolve it uncharged.
 				w.resolve(waitRan)
 			} else {
-				// Never started: back into the queue, to be granted.
 				m.enqueue(w)
 			}
 		}
-		// Retire the held bit and run the boundary so the lock outlives
-		// the panic; unlockSlow's remaining release logic is skipped by the
+		// Retire the held bit and run the boundary so the lock outlives the
+		// failure; unlockSlow's remaining release logic is skipped by the
 		// unwind (its deferred unlockMu still runs, balanced by the lockMu
 		// above).
 		m.mutate(func(w uint64) uint64 { return w &^ wordHeld })
 		m.transferLocked(monotime())
-		if pv != nil {
-			panic(fmt.Sprintf("scl: Handle.Do critical section panicked: %v", pv))
-		}
-		// pv == nil means runtime.Goexit: the unwind continues on its own.
-	}()
-	at[0] = monotime()
-	for _, w := range batch {
-		w.fn()
-		at = append(at, monotime())
-		ran++
-	}
+	})
 	m.lockMu()
 	m.draining = nil
 	now = monotime()
@@ -241,8 +212,8 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 func (l *RWLock) Do(fn func()) {
 	if !l.fastWLock() {
 		do := &rwDo{fn: fn}
-		if ch, _ := l.wlockSlow(do); ch != nil && !check.WaitChan("rw.wwait", ch) {
-			<-ch
+		if ch, _ := l.wlockSlow(do); ch != nil {
+			l.await("rw.wwait", ch, nil)
 		}
 		if do.ran {
 			return // the active writer executed fn
@@ -275,40 +246,22 @@ func (l *RWLock) takeWCombineBatch() []rwWaiter {
 
 // drainWCombine executes a batch of queued writer closures (closureQueued
 // holds) while the caller still owns the writer-active bit, then books
-// them: the interval
-// accounting charges the drain as writer hold when the caller's release
-// charge lands, so only the op count and events need explicit handling.
-// l.mu held on entry and exit; returns the post-drain clock.
+// them: the interval accounting charges the drain as writer hold when the
+// caller's release charge lands, so only the op count and events need
+// explicit handling. l.mu held on entry and exit; returns the post-drain
+// clock.
 func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 	batch := l.takeWCombineBatch()
 	l.unlockMu()
-	var total time.Duration
-	type span struct{ start, end time.Duration }
-	var spans []span // per-closure times, kept only while traced
-	if l.tracer.on() {
-		spans = make([]span, len(batch))
-	}
-	ran := 0
-	// Same contract-violation backstop as Mutex.drainCombine: a closure
-	// that panics (or Goexits) would otherwise leave the writer-active
-	// bit up and the batch's waiters parked forever, with the unwind
-	// skipping WUnlock's remaining release logic. Resolve the batch,
-	// close out the write phase, and let the panic continue
-	// scl-identified.
-	defer func() {
-		if ran == len(batch) {
-			return // every closure completed; the booking below ran normally
-		}
-		pv := recover()
+	at := runBatch("RWLock.Do", len(batch), func(i int) { batch[i].do.fn() }, func(ran int) {
+		// The unwind skips WUnlock's remaining release logic: close out the
+		// write phase here.
 		l.lockMu()
 		for i, wt := range batch {
 			if i <= ran {
-				// Executed (including the closure that blew up): exactly-once
-				// forbids a re-run.
 				wt.do.ran = true
 				wt.ch <- struct{}{}
 			} else {
-				// Never started: back into the queue, to be granted.
 				l.waitW = append(l.waitW, wt)
 			}
 		}
@@ -318,22 +271,7 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 		l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
 		l.advanceLocked(now)
 		l.unlockMu()
-		if pv != nil {
-			panic(fmt.Sprintf("scl: RWLock.Do critical section panicked: %v", pv))
-		}
-		// pv == nil means runtime.Goexit: the unwind continues on its own.
-	}()
-	at := monotime()
-	for i, wt := range batch {
-		start := at
-		wt.do.fn()
-		at = monotime()
-		if spans != nil {
-			spans[i] = span{start, at}
-		}
-		total += at - start
-		ran++
-	}
+	})
 	l.lockMu()
 	now = monotime()
 	// The closures ran inside the caller's writer-active window, so the
@@ -341,12 +279,12 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 	// only ops and events remain.
 	l.writerOps.Add(int64(len(batch)))
 	l.writerCombines.Add(int64(len(batch)))
-	if spans != nil {
-		l.tracer.emit(trace.KindCombine, now, trace.EntityWriters, "", total)
+	if l.tracer.on() {
+		l.tracer.emit(trace.KindCombine, now, trace.EntityWriters, "", at[len(batch)]-at[0])
 		for i, wt := range batch {
-			wait := max(spans[i].start-wt.since, 0)
-			l.tracer.emit(trace.KindAcquire, spans[i].start, trace.EntityWriters, "", wait)
-			l.tracer.emit(trace.KindRelease, spans[i].end, trace.EntityWriters, "", spans[i].end-spans[i].start)
+			start, end := at[i], at[i+1]
+			l.tracer.emit(trace.KindAcquire, start, trace.EntityWriters, "", max(start-wt.since, 0))
+			l.tracer.emit(trace.KindRelease, end, trace.EntityWriters, "", end-start)
 		}
 	}
 	check.Point("rw.combine.handoff")

@@ -76,72 +76,107 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	}
 }
 
-// TestDoClosurePanicDoesNotWedge: a Do closure that panics (documented as
-// forbidden) must fail loudly, not wedge the lock. The drain re-raises
-// the panic scl-identified on the combiner's goroutine, resolves the
-// panicking publisher as done, puts unexecuted batch-mates back into the
-// waiter queue (exactly-once preserved), and leaves the lock usable.
+// TestDoClosurePanicDoesNotWedge: a Do closure that panics or calls
+// runtime.Goexit (documented as forbidden) must fail loudly, not wedge the
+// lock. The drain resolves the failing publisher as done, puts unexecuted
+// batch-mates back into the waiter queue (exactly-once preserved), and
+// leaves the lock usable; a panic is re-raised scl-identified on the
+// combiner's goroutine, a Goexit ends that goroutine.
 func TestDoClosurePanicDoesNotWedge(t *testing.T) {
-	m := NewMutex(Options{Slice: 10 * time.Millisecond})
-	holder := m.Register()
-	innocent := m.Register()
-	bomber := m.Register()
+	for _, c := range closureFaults {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMutex(Options{Slice: 10 * time.Millisecond})
+			holder := m.Register()
+			innocent := m.Register()
+			bomber := m.Register()
 
-	holder.Lock()
+			holder.Lock()
 
-	// Queue the innocent section first, the panicking one second: the
-	// drain takes the newest first, so it executes the bomber first and
-	// never reaches the innocent closure.
-	var innocentRuns atomic.Int32
-	innocentDone := make(chan struct{})
-	go func() {
-		innocent.Do(func() { innocentRuns.Add(1) })
-		close(innocentDone)
-	}()
-	waitPublished(t, m, 1)
-	bomberDone := make(chan struct{})
-	go func() {
-		bomber.Do(func() { panic("boom") })
-		close(bomberDone)
-	}()
-	waitPublished(t, m, 2)
+			// Queue the innocent section first, the failing one second: the
+			// drain takes the newest first, so it executes the bomber first
+			// and never reaches the innocent closure.
+			var innocentRuns atomic.Int32
+			innocentDone := make(chan struct{})
+			go func() {
+				innocent.Do(func() { innocentRuns.Add(1) })
+				close(innocentDone)
+			}()
+			waitPublished(t, m, 1)
+			bomberDone := make(chan struct{})
+			go func() {
+				bomber.Do(c.fn)
+				close(bomberDone)
+			}()
+			waitPublished(t, m, 2)
 
-	// The release drains the batch on this goroutine; the closure's panic
-	// must surface here, identified as a Do contract violation.
-	func() {
-		defer func() {
-			pv := recover()
-			if pv == nil {
-				t.Fatal("Unlock did not re-raise the Do closure panic")
+			// The release drains the batch; the closure's failure must
+			// surface on the releasing goroutine.
+			c.check(t, "scl: Handle.Do critical section panicked", holder.Unlock)
+
+			// Both publishers must resolve: the bomber as executed, the
+			// innocent requeued and granted (running exactly once).
+			for name, ch := range map[string]chan struct{}{"bomber": bomberDone, "innocent": innocentDone} {
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s publisher wedged after a batch-mate failed", name)
+				}
 			}
-			msg, ok := pv.(string)
-			if !ok || !strings.Contains(msg, "scl: Handle.Do critical section panicked") || !strings.Contains(msg, "boom") {
-				t.Fatalf("panic value = %v, want an scl-identified wrap of the closure panic", pv)
+			if n := innocentRuns.Load(); n != 1 {
+				t.Fatalf("innocent section ran %d times, want exactly once", n)
 			}
-		}()
-		holder.Unlock()
-	}()
+			// The held bit was retired and the boundary ran: the lock survives.
+			for _, h := range []*Handle{holder, innocent, bomber} {
+				h.Lock()
+				h.Unlock()
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after closure %s: %v", c.name, err)
+			}
+		})
+	}
+}
 
-	// Both publishers must resolve: the bomber as executed, the innocent
-	// requeued and granted (running exactly once).
-	for name, ch := range map[string]chan struct{}{"bomber": bomberDone, "innocent": innocentDone} {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s publisher wedged after a batch-mate panicked", name)
+// closureFaults are the two ways a forbidden Do closure can unwind the
+// goroutine running it. check runs release — the Unlock that drains the
+// failing closure — on a goroutine of its own and fails t unless the
+// closure's unwind surfaced there as expected.
+var closureFaults = []struct {
+	name  string
+	fn    func()
+	check func(t *testing.T, wantMsg string, release func())
+}{
+	{"panic", func() { panic("boom") }, func(t *testing.T, wantMsg string, release func()) {
+		pv, goexited := unwindOf(release)
+		msg, ok := pv.(string)
+		if goexited || !ok || !strings.Contains(msg, wantMsg) || !strings.Contains(msg, "boom") {
+			t.Fatalf("release ended with panic value %v (Goexit %v), want an scl-identified wrap of the closure panic", pv, goexited)
 		}
-	}
-	if n := innocentRuns.Load(); n != 1 {
-		t.Fatalf("innocent section ran %d times, want exactly once", n)
-	}
-	// The held bit was retired and the boundary ran: the lock survives.
-	for _, h := range []*Handle{holder, innocent, bomber} {
-		h.Lock()
-		h.Unlock()
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after closure panic: %v", err)
-	}
+	}},
+	{"Goexit", runtime.Goexit, func(t *testing.T, _ string, release func()) {
+		if pv, goexited := unwindOf(release); !goexited {
+			t.Fatalf("release ended with panic value %v, want the closure's Goexit to end its goroutine", pv)
+		}
+	}},
+}
+
+// unwindOf runs f on a fresh goroutine and reports how f ended: the value
+// of a panic escaping it, or goexited when runtime.Goexit ended the
+// goroutine (both zero when f returned).
+func unwindOf(f func()) (pv any, goexited bool) {
+	done := make(chan struct{})
+	go func() {
+		returned := false
+		defer func() {
+			pv = recover()
+			goexited = !returned && pv == nil
+			close(done)
+		}()
+		f()
+		returned = true
+	}()
+	<-done
+	return pv, goexited
 }
 
 // waitPublished polls until n waiters carrying a Do closure are queued.
@@ -161,55 +196,47 @@ func waitPublished(t *testing.T, m *Mutex, n int) {
 
 // TestRWDoClosurePanicDoesNotWedge is the writer-side analogue: a
 // panicking RWLock.Do closure is re-raised scl-identified on the
-// draining writer's goroutine, and the write phase closes out so both
-// classes can still get in.
+// draining writer's goroutine, a Goexiting one ends that goroutine, and
+// either way the write phase closes out so both classes can still get in.
 func TestRWDoClosurePanicDoesNotWedge(t *testing.T) {
-	l := NewRWLock(1, 1, 10*time.Millisecond)
+	for _, c := range closureFaults {
+		t.Run(c.name, func(t *testing.T) {
+			l := NewRWLock(1, 1, 10*time.Millisecond)
 
-	l.WLock()
-	done := make(chan struct{})
-	go func() {
-		l.Do(func() { panic("boom") })
-		close(done)
-	}()
-	queued := func() bool {
-		l.lockMu()
-		defer l.unlockMu()
-		return l.closureQueued()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !queued() {
-		if time.Now().After(deadline) {
-			t.Fatal("writer section never published")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	func() {
-		defer func() {
-			pv := recover()
-			if pv == nil {
-				t.Fatal("WUnlock did not re-raise the Do closure panic")
+			l.WLock()
+			done := make(chan struct{})
+			go func() {
+				l.Do(c.fn)
+				close(done)
+			}()
+			queued := func() bool {
+				l.lockMu()
+				defer l.unlockMu()
+				return l.closureQueued()
 			}
-			msg, ok := pv.(string)
-			if !ok || !strings.Contains(msg, "scl: RWLock.Do critical section panicked") || !strings.Contains(msg, "boom") {
-				t.Fatalf("panic value = %v, want an scl-identified wrap of the closure panic", pv)
+			deadline := time.Now().Add(5 * time.Second)
+			for !queued() {
+				if time.Now().After(deadline) {
+					t.Fatal("writer section never published")
+				}
+				time.Sleep(100 * time.Microsecond)
 			}
-		}()
-		l.WUnlock()
-	}()
 
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Do publisher wedged after its closure panicked")
-	}
-	// The writer-active bit was retired: both classes still get in.
-	l.WLock()
-	l.WUnlock()
-	l.RLock()
-	l.RUnlock()
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after closure panic: %v", err)
+			c.check(t, "scl: RWLock.Do critical section panicked", l.WUnlock)
+
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Do publisher wedged after its closure's %s", c.name)
+			}
+			// The writer-active bit was retired: both classes still get in.
+			l.WLock()
+			l.WUnlock()
+			l.RLock()
+			l.RUnlock()
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after closure %s: %v", c.name, err)
+			}
+		})
 	}
 }

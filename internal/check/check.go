@@ -176,36 +176,6 @@ func WaitOrDone(name string, ready func() bool, done <-chan struct{}) (ok, handl
 	return true, true
 }
 
-// WaitChan blocks until a grant token is buffered on ch, then consumes
-// it. ch must be a buffered channel to which only the granter sends
-// (the RWLock waiter-channel protocol).
-func WaitChan(name string, ch <-chan struct{}) bool {
-	s, _ := cur()
-	if s == nil {
-		return false
-	}
-	s.park(name, func() bool { return len(ch) > 0 }, -1)
-	<-ch
-	return true
-}
-
-// WaitChanOrDone blocks until a grant token is buffered on ch or done
-// is closed. On cancellation the token is deliberately not consumed
-// even if present — the lock's abandon path owns draining a raced
-// grant, and leaving the token in place exercises it.
-func WaitChanOrDone(name string, ch <-chan struct{}, done <-chan struct{}) (ok, handled bool) {
-	s, _ := cur()
-	if s == nil {
-		return false, false
-	}
-	s.park(name, func() bool { return len(ch) > 0 || chanClosed(done) }, -1)
-	if chanClosed(done) {
-		return false, true
-	}
-	<-ch
-	return true, true
-}
-
 // LockMutex acquires mu's virtual ownership under an installed
 // scheduler, reporting handled=true; the real sync.Mutex is left
 // untouched (serial execution plus the scheduler's channel handoffs

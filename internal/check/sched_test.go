@@ -282,40 +282,3 @@ func TestHooksInertWithoutScheduler(t *testing.T) {
 		t.Fatal("AfterFunc handled without scheduler")
 	}
 }
-
-// TestWaitChan: grant-token waits wake on a buffered send and consume
-// the token; cancelled waits leave it.
-func TestWaitChan(t *testing.T) {
-	res := runUnder(t, NewFirstChooser(), func(s *Sched) {
-		ch := make(chan struct{}, 1)
-		done := make(chan struct{})
-		s.Go("waiter", func() {
-			if !WaitChan("grant", ch) {
-				s.Failf("WaitChan not handled")
-			}
-			if len(ch) != 0 {
-				s.Failf("token not consumed")
-			}
-			ok, _ := WaitChanOrDone("grant2", ch, done)
-			if ok {
-				s.Failf("want cancellation")
-			}
-			if len(ch) != 1 {
-				s.Failf("cancelled wait must not consume the token")
-			}
-		})
-		s.Go("granter", func() {
-			Sleep(time.Millisecond)
-			ch <- struct{}{}
-			Sleep(time.Millisecond)
-			// No schedule point between these two: the waiter wakes seeing
-			// both a buffered grant and a closed done — the raced-grant
-			// window, where cancellation must win and leave the token.
-			ch <- struct{}{}
-			close(done)
-		})
-	})
-	if res.Failure != nil {
-		t.Fatalf("failure: %v", res.Failure)
-	}
-}

@@ -117,13 +117,12 @@ func WithTenantGC(threshold time.Duration) ManagerOption {
 }
 
 // stripe is one shard of the table: its own mutex, key map, tenant
-// books and per-tenant stats. All fields are guarded by mu (taken
+// books and per-tenant records. All fields are guarded by mu (taken
 // through the checkhooks seam).
 type stripe struct {
 	mu       sync.Mutex
 	books    *core.Accountant // tenant-level accounting, k-SCL style
 	keys     map[string]*managedLock
-	inflight map[core.ID]int // grants in flight per tenant (reap veto)
 	stats    map[core.ID]*tenantStat
 	nextReap time.Duration
 
@@ -155,15 +154,18 @@ type tenantPool struct {
 	out  int
 }
 
-// tenantStat accumulates per-tenant counters on one stripe.
+// tenantStat is one tenant's record on one stripe: its counters and its
+// grants in flight. A tenant with grants in flight always has one — it is
+// created before the first increment and dropped or reaped only at zero.
 type tenantStat struct {
-	name    string
-	weight  int64
-	grants  int64
-	hold    time.Duration
-	bans    int64
-	banTime time.Duration
-	lastAt  time.Duration
+	name     string
+	weight   int64
+	grants   int64
+	hold     time.Duration
+	bans     int64
+	banTime  time.Duration
+	lastAt   time.Duration
+	inflight int // grants in flight (reap and Close veto)
 }
 
 // managerTenantIDs allocates tenant identities; one Tenant carries the
@@ -194,7 +196,6 @@ func NewManager(opts ManagerOptions, extra ...ManagerOption) *Manager {
 		s := &m.stripes[i]
 		s.books = core.NewAccountant(bp)
 		s.keys = make(map[string]*managedLock)
-		s.inflight = make(map[core.ID]int)
 		s.stats = make(map[core.ID]*tenantStat)
 	}
 	return m
@@ -289,7 +290,7 @@ const (
 // stripe) and then through the key lock's own SCL discipline. It panics
 // on an RW table or a closed tenant.
 func (t *Tenant) Lock(key string) *Grant {
-	g, _ := t.acquire(nil, key, modeLock)
+	g, _ := t.acquire(context.Background(), key, modeLock)
 	return g
 }
 
@@ -302,7 +303,7 @@ func (t *Tenant) LockContext(ctx context.Context, key string) (*Grant, error) {
 
 // RLock acquires the key's RW-SCL for reading (RW tables only).
 func (t *Tenant) RLock(key string) *Grant {
-	g, _ := t.acquire(nil, key, modeRLock)
+	g, _ := t.acquire(context.Background(), key, modeRLock)
 	return g
 }
 
@@ -313,7 +314,7 @@ func (t *Tenant) RLockContext(ctx context.Context, key string) (*Grant, error) {
 
 // WLock acquires the key's RW-SCL for writing (RW tables only).
 func (t *Tenant) WLock(key string) *Grant {
-	g, _ := t.acquire(nil, key, modeWLock)
+	g, _ := t.acquire(context.Background(), key, modeWLock)
 	return g
 }
 
@@ -333,12 +334,8 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 		}
 		panic("scl: RLock/WLock on a mutex Manager (use Lock)")
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		done = ctx.Done()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	s := m.stripeOf(key)
 	check.Point("mgr.stripe")
@@ -347,32 +344,17 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	// single-lock rule (§4.2), and the sleep happens outside the stripe
 	// mutex so banned tenants never block the table.
 	var now time.Duration
+	var st *tenantStat
 	for {
 		lockMutex(&s.mu)
 		now = monotime()
-		s.ensureTenantLocked(t, now)
+		st = s.ensureTenantLocked(t, now)
 		until := s.books.BannedUntil(t.id)
 		if until <= now {
 			break // proceed, still holding s.mu and reusing now
 		}
 		unlockMutex(&s.mu)
-		if done == nil {
-			if !check.Sleep(until - now) {
-				time.Sleep(until - now)
-			}
-			continue
-		}
-		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
-			if cancelled {
-				return nil, ctx.Err()
-			}
-			continue
-		}
-		tm := time.NewTimer(until - now)
-		select {
-		case <-tm.C:
-		case <-done:
-			tm.Stop()
+		if sleepOrDone(until-now, ctx.Done()) {
 			return nil, ctx.Err()
 		}
 	}
@@ -382,7 +364,7 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	}
 	ml.lastUsed = now
 	ml.inflight++
-	s.inflight[t.id]++
+	st.inflight++
 	var h *Handle
 	if mode == modeLock {
 		h = ml.takeHandleLocked(t)
@@ -390,26 +372,16 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	unlockMutex(&s.mu)
 	// Block on the key lock outside the stripe mutex: the key's queue and
 	// slice discipline must never serialize unrelated keys of the stripe.
+	// An uncancellable acquire passes context.Background, whose nil Done
+	// makes each wait below uncancellable.
 	var err error
 	switch mode {
 	case modeLock:
-		if ctx == nil {
-			h.Lock()
-		} else {
-			err = h.LockContext(ctx)
-		}
+		err = h.LockContext(ctx)
 	case modeRLock:
-		if ctx == nil {
-			ml.rw.RLock()
-		} else {
-			err = ml.rw.RLockContext(ctx)
-		}
+		err = ml.rw.RLockContext(ctx)
 	case modeWLock:
-		if ctx == nil {
-			ml.rw.WLock()
-		} else {
-			err = ml.rw.WLockContext(ctx)
-		}
+		err = ml.rw.WLockContext(ctx)
 	}
 	if err != nil {
 		lockMutex(&s.mu)
@@ -417,7 +389,7 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 			ml.putHandleLocked(t, h)
 		}
 		ml.inflight--
-		s.decInflightLocked(t.id)
+		st.inflight--
 		unlockMutex(&s.mu)
 		return nil, err
 	}
@@ -455,19 +427,18 @@ func (g *Grant) Unlock() {
 	}
 	g.ml.inflight--
 	g.ml.lastUsed = now
-	s.decInflightLocked(t.id)
+	st := s.stats[t.id]
+	st.inflight--
 	pen := s.books.ChargeWindow(t.id, hold, now)
-	if st := s.stats[t.id]; st != nil {
-		st.grants++
-		st.hold += hold
-		st.lastAt = now
-		if pen > 0 {
-			st.bans++
-			st.banTime += pen
-		}
+	st.grants++
+	st.hold += hold
+	st.lastAt = now
+	if pen > 0 {
+		st.bans++
+		st.banTime += pen
 	}
 	s.maybeReapLocked(g.t.m, now)
-	if t.closed.Load() && s.inflight[t.id] == 0 {
+	if t.closed.Load() && st.inflight == 0 {
 		s.dropTenantLocked(t.id)
 	}
 	unlockMutex(&s.mu)
@@ -493,7 +464,7 @@ func (t *Tenant) Close() {
 		for _, ml := range s.keys {
 			ml.closeTenantLocked(t.id)
 		}
-		if s.inflight[t.id] == 0 {
+		if s.inflightLocked(t.id) == 0 {
 			s.dropTenantLocked(t.id)
 		}
 		unlockMutex(&s.mu)
@@ -501,9 +472,9 @@ func (t *Tenant) Close() {
 }
 
 // ensureTenantLocked (re-)registers the tenant in the stripe books —
-// cheap when already present (a weight refresh) — and keeps a stats
-// entry alive for it.
-func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) {
+// cheap when already present (a weight refresh) — and returns its record,
+// creating it if needed.
+func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) *tenantStat {
 	s.books.Register(t.id, t.weight, now)
 	st := s.stats[t.id]
 	if st == nil {
@@ -511,14 +482,15 @@ func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) {
 		s.stats[t.id] = st
 	}
 	st.lastAt = now
+	return st
 }
 
-func (s *stripe) decInflightLocked(id core.ID) {
-	if v := s.inflight[id] - 1; v > 0 {
-		s.inflight[id] = v
-	} else {
-		delete(s.inflight, id)
+// inflightLocked returns the tenant's grants in flight on the stripe.
+func (s *stripe) inflightLocked(id core.ID) int {
+	if st := s.stats[id]; st != nil {
+		return st.inflight
 	}
+	return 0
 }
 
 // dropTenantLocked removes a closed tenant's stripe state once nothing
@@ -659,7 +631,7 @@ func (s *stripe) maybeReapLocked(m *Manager, now time.Duration) {
 	}
 	if tenantIdle > 0 {
 		reaped := s.books.ExpireInactive(now, func(id core.ID) bool {
-			return s.inflight[id] > 0
+			return s.inflightLocked(id) > 0
 		})
 		for _, r := range reaped {
 			delete(s.stats, r.ID)
@@ -737,7 +709,7 @@ func (m *Manager) Stats() ManagerStats {
 			a.Hold += st.hold
 			a.Bans += st.bans
 			a.BanTime += st.banTime
-			a.Inflight += s.inflight[id]
+			a.Inflight += st.inflight
 			out.Grants += st.grants
 		}
 		unlockMutex(&s.mu)
@@ -843,11 +815,11 @@ func (s *stripe) checkLocked(i int) error {
 			return fmt.Errorf("scl: stripe %d key %q: %w", i, key, err)
 		}
 	}
-	for id, n := range s.inflight {
-		if n <= 0 {
-			return fmt.Errorf("scl: stripe %d tenant %d inflight %d <= 0", i, id, n)
+	for id, st := range s.stats {
+		if st.inflight < 0 {
+			return fmt.Errorf("scl: stripe %d tenant %d inflight %d < 0", i, id, st.inflight)
 		}
-		tenFlight += n
+		tenFlight += st.inflight
 	}
 	if keyFlight != tenFlight {
 		return fmt.Errorf("scl: stripe %d inflight mismatch: keys %d, tenants %d", i, keyFlight, tenFlight)

@@ -2,12 +2,14 @@ package scl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"scl/internal/check"
 	"scl/trace"
 )
 
@@ -185,6 +187,62 @@ func TestManagerContext(t *testing.T) {
 		// A pre-cancelled ctx must return before touching the table, so
 		// "free" never materializes and only "k" exists.
 		t.Fatalf("Keys = %d after pre-cancelled acquire, want 1", m.Keys())
+	}
+}
+
+// TestManagerLockContextCancelDuringBan cancels a Tenant.LockContext
+// while the tenant sleeps out a table-level ban. It runs under the check
+// scheduler, so the ban and the cancellation land at exact virtual
+// instants: the acquire returns ctx.Err() before the ban ends, leaves no
+// grant in flight and the books consistent, and the ban still holds the
+// tenant's next acquire.
+func TestManagerLockContextCancelDuringBan(t *testing.T) {
+	s := check.NewSched(check.NewFirstChooser(), 0)
+	check.Install(s)
+	defer check.Uninstall(s)
+	s.Go("hog", func() {
+		m := NewManager(ManagerOptions{Lock: Options{Slice: -1}}, WithStripes(1))
+		hog := m.Tenant("hog", NiceToWeight(0))
+		// An idle tenant on the stripe books holds half the share, so the
+		// hog's one long hold draws a ban.
+		m.Tenant("idle", NiceToWeight(0)).Lock("other").Unlock()
+		g := hog.Lock("k")
+		check.Sleep(10 * time.Millisecond)
+		g.Unlock()
+		books := m.stripes[0].books
+		until := books.BannedUntil(hog.id)
+		if until <= s.Now() {
+			s.Failf("hog drew no table-level ban")
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		s.Go("canceller", func() {
+			check.Sleep(time.Millisecond)
+			cancel()
+		})
+		if _, err := hog.LockContext(ctx, "k"); !errors.Is(err, context.Canceled) {
+			s.Failf("LockContext during a table-level ban = %v, want context.Canceled", err)
+		}
+		if now := s.Now(); now >= until {
+			s.Failf("cancelled ban sleep returned at %v, ban ends at %v", now, until)
+		}
+		if ts, _ := m.Stats().Tenant(hog.ID()); ts.Inflight != 0 {
+			s.Failf("%d grants in flight after a cancelled acquire", ts.Inflight)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			s.Failf("invariants after cancelled ban sleep: %v", err)
+		}
+		if got := books.BannedUntil(hog.id); got != until {
+			s.Failf("cancellation moved the ban end from %v to %v", until, got)
+		}
+		g = hog.Lock("k")
+		if now := s.Now(); now < until {
+			s.Failf("next acquire granted at %v, inside the ban ending at %v", now, until)
+		}
+		g.Unlock()
+	})
+	if res := s.Run(); res.Failure != nil {
+		t.Fatalf("checker failure: %v", res.Failure)
 	}
 }
 

@@ -361,19 +361,10 @@ func (h *Handle) SetName(name string) *Handle { h.name = name; return h }
 // Name returns the handle's label.
 func (h *Handle) Name() string { return h.name }
 
-// mutate applies f to the state word with a CAS loop that tolerates
-// concurrent fast-path CASes. m.mu held. Returns the installed word.
+// mutate applies f to the state word (casWord). m.mu held. Returns the
+// installed word.
 func (m *Mutex) mutate(f func(uint64) uint64) uint64 {
-	for {
-		old := m.word.Load()
-		new := f(old)
-		// The load→CAS window: a concurrent fast-path CAS may land here,
-		// which is exactly the interleaving the checker reorders.
-		check.Point("mu.word.mutate")
-		if old == new || m.word.CompareAndSwap(old, new) {
-			return new
-		}
-	}
+	return casWord(&m.word, "mu.word.mutate", f)
 }
 
 // fastLock is the slice owner's lock-free acquire: one CAS on the state
@@ -533,26 +524,9 @@ func (m *Mutex) serveBan(h *Handle, done <-chan struct{}, reqAt *time.Duration) 
 		}
 		banned = true
 		m.unlockMu()
-		if done == nil {
-			if !check.Sleep(until - now) {
-				time.Sleep(until - now)
-			}
-			continue
-		}
-		// A cancellable acquire must be able to walk away mid-penalty:
-		// the ban only makes an uncancellable wait longer.
-		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
-			if cancelled {
-				m.noteAbandon(h, *reqAt)
-				return now, banned, false
-			}
-			continue
-		}
-		t := time.NewTimer(until - now)
-		select {
-		case <-t.C:
-		case <-done:
-			t.Stop()
+		// A cancellable acquire must be able to walk away mid-penalty: the
+		// ban only makes an uncancellable wait longer.
+		if sleepOrDone(until-now, done) {
 			m.noteAbandon(h, *reqAt)
 			return now, banned, false
 		}
@@ -834,11 +808,14 @@ func (m *Mutex) fold(now time.Duration) {
 // false return does not mean the grant cannot still land — the caller must
 // resolve the race under m.mu (see abandon).
 func (w *waiter) await(done <-chan struct{}, head bool) bool {
-	if ok, handled := check.WaitOrDone("mu.await", w.resolved, done); handled {
+	if check.Enabled() {
 		// Deterministic checker: the scheduler wakes us on grant or
 		// cancellation directly; the spin/futex machinery below is real-
-		// runtime plumbing with no scheduling decisions of its own.
-		return ok
+		// runtime plumbing with no scheduling decisions of its own. The
+		// predicate is built only here: a real-runtime wait allocates none.
+		if ok, handled := check.WaitOrDone("mu.await", func() bool { return w.resolved() }, done); handled {
+			return ok
+		}
 	}
 	if head {
 		for i := 0; i < 64; i++ {

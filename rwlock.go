@@ -316,19 +316,10 @@ func (l *RWLock) charge(readers int64, wactive bool, now time.Duration) {
 	}
 }
 
-// mutateWord applies f to the state word with a CAS loop that tolerates
-// concurrent fast-path CASes. l.mu held. Returns the installed word.
+// mutateWord applies f to the state word (casWord). l.mu held. Returns
+// the installed word.
 func (l *RWLock) mutateWord(f func(uint64) uint64) uint64 {
-	for {
-		old := l.word.Load()
-		new := f(old)
-		// The load→CAS window where a concurrent fast-path CAS may land —
-		// the interleaving the deterministic checker reorders.
-		check.Point("rw.word.mutate")
-		if old == new || l.word.CompareAndSwap(old, new) {
-			return new
-		}
-	}
+	return casWord(&l.word, "rw.word.mutate", f)
 }
 
 // setWActiveLocked raises writer-active unless it is already up — a
@@ -479,9 +470,7 @@ func (l *RWLock) RLock() {
 		return
 	}
 	if ch, _ := l.rlockSlow(); ch != nil {
-		if !check.WaitChan("rw.rwait", ch) {
-			<-ch // granted: the granter counted us in our shard
-		}
+		l.await("rw.rwait", ch, nil) // granted: the granter counted us in our shard
 	}
 }
 
@@ -498,24 +487,11 @@ func (l *RWLock) RLockContext(ctx context.Context) error {
 	if l.fastRLock() {
 		return nil
 	}
-	ch, since := l.rlockSlow()
-	if ch == nil {
-		return nil
-	}
-	if ok, handled := check.WaitChanOrDone("rw.rwait", ch, ctx.Done()); handled {
-		if ok {
-			return nil
-		}
+	if ch, since := l.rlockSlow(); ch != nil && !l.await("rw.rwait", ch, ctx.Done()) {
 		l.abandonWaiter(&l.waitR, ch, trace.EntityReaders, since)
 		return ctx.Err()
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		l.abandonWaiter(&l.waitR, ch, trace.EntityReaders, since)
-		return ctx.Err()
-	}
+	return nil
 }
 
 // rlockSlow runs the shared acquire under l.mu: either inline (nil
@@ -592,9 +568,7 @@ func (l *RWLock) WLock() {
 		return
 	}
 	if ch, _ := l.wlockSlow(nil); ch != nil {
-		if !check.WaitChan("rw.wwait", ch) {
-			<-ch // granted: writer-active already set by the granter
-		}
+		l.await("rw.wwait", ch, nil) // granted: writer-active already set by the granter
 	}
 }
 
@@ -608,24 +582,11 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 	if l.fastWLock() {
 		return nil
 	}
-	ch, since := l.wlockSlow(nil)
-	if ch == nil {
-		return nil
-	}
-	if ok, handled := check.WaitChanOrDone("rw.wwait", ch, ctx.Done()); handled {
-		if ok {
-			return nil
-		}
+	if ch, since := l.wlockSlow(nil); ch != nil && !l.await("rw.wwait", ch, ctx.Done()) {
 		l.abandonWaiter(&l.waitW, ch, trace.EntityWriters, since)
 		return ctx.Err()
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		l.abandonWaiter(&l.waitW, ch, trace.EntityWriters, since)
-		return ctx.Err()
-	}
+	return nil
 }
 
 // wlockSlow runs the exclusive acquire under l.mu: either inline (nil
